@@ -59,11 +59,11 @@ def test_pipeline_equivalence(benchmark):
     assert stats.cycles > 0 and stats.tc_tiles > 0
 
 
-def test_pipeline_fastpath_artifact():
-    """Measure the fastpath on one GPU frame and emit BENCH_pipeline.json.
+def test_pipeline_bench_artifact():
+    """Measure one GPU frame and emit BENCH_pipeline.json.
 
-    Same contract as the fig14 artifact benchmark: fastpath on vs off,
-    bit-identity gated, wall-time reported.  ``REPRO_BENCH_SCALE``
+    Same contract as the fig14 artifact benchmark: one run, identity
+    gated on the scale's pin, wall-time reported.  ``REPRO_BENCH_SCALE``
     (default ``smoke``) and ``REPRO_BENCH_OUT`` (default ``.``) control
     the operating point and the artifact directory.
     """

@@ -354,14 +354,14 @@ def _cmd_dfsl(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Fastpath measurement discipline: run the tracked benchmarks.
+    """Benchmark discipline: run the tracked benchmarks.
 
-    Runs each workload fastpath-on and fastpath-off, verifies the two
-    modes computed the identical simulation, and writes one
-    ``BENCH_<name>.json`` artifact per benchmark (see
+    Runs each workload once, records its identity fingerprint, and writes
+    one ``BENCH_<name>.json`` artifact per benchmark (see
     :mod:`repro.bench`).  ``--gate`` turns the machine-independent checks
-    (identity + on-not-slower-than-off) into the exit code — the CI
-    smoke job runs ``bench --scale smoke --gate``.
+    (fingerprint equals the scale's pin; ffwd error bounds and CRC
+    identity) into the exit code — the CI smoke job runs
+    ``bench --scale smoke --gate``.
     """
     from repro import bench
 
@@ -1015,7 +1015,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_cs1)
 
     p = sub.add_parser("bench",
-                       help="fastpath benchmarks: on-vs-off wall time, "
+                       help="tracked benchmarks: wall time, pinned "
                             "identity check, BENCH_*.json artifacts")
     p.add_argument("--scale", choices=("default", "smoke", "micro"),
                    default="default",
@@ -1028,8 +1028,9 @@ def main(argv=None) -> int:
     p.add_argument("--summary", action="store_true",
                    help="print the human-readable table")
     p.add_argument("--gate", action="store_true",
-                   help="exit 1 when identity or the on-vs-off speed "
-                        "check fails (machine-independent checks only)")
+                   help="exit 1 when a fingerprint drifts from its pin "
+                        "or an ffwd check fails (machine-independent "
+                        "checks only)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest",

@@ -1,9 +1,9 @@
-"""Fastpath measurement discipline: reproducible benchmark artifacts.
+"""Benchmark discipline: reproducible, identity-pinned artifacts.
 
-The fastpath layer (DESIGN.md §12) is only allowed to exist because it is
-*measured*: every claimed speedup is pinned to a JSON artifact produced by
-this module, and every artifact embeds the bit-identity fingerprint that
-proves the optimized run computed the same simulation.  Two reference
+Every speed claim about the simulator is pinned to a JSON artifact
+produced by this module, and every artifact embeds the identity
+fingerprint (end tick / cycles, events fired, framebuffer CRC, ...) that
+proves the measured run computed the pinned simulation.  Three
 workloads are tracked:
 
 * ``fig14`` — the case-study-I unit behind Fig. 14 (M1 under the BAS
@@ -14,20 +14,20 @@ workloads are tracked:
 * ``ffwd`` — sampled simulation (DESIGN.md §13) against full detail on
   the Fig. 14 scene: wall-clock speedup, per-metric extrapolation error
   vs a symmetric per-frame ground truth, and the fast-forward
-  framebuffer-CRC identity check.  Unlike the fastpath benchmarks this
-  one compares an *approximation* to the exact run, so the gate bounds
-  the error (≤5 %) rather than demanding bit identity of the estimates —
-  the CRC identity of the fast-forwarded run stays exact.
+  framebuffer-CRC identity check.  It compares an *approximation* to the
+  exact run, so the gate bounds the error (≤5 %) rather than demanding
+  identity of the estimates — the CRC identity of the fast-forwarded run
+  stays exact.
 
-Each benchmark runs the workload twice — fastpath on, fastpath off — in
-that order, compares the identity fingerprint (end tick / cycles, events
-fired, framebuffer CRC), and reports wall time, events/sec and (for the
-GPU frame) fragments/sec plus the on-vs-off speedup.  ``scale="default"``
-additionally reports the speedup against :data:`SEED_BASELINE`, the wall
-time recorded for the same workload at the pre-fastpath seed commit.
+``fig14`` and ``pipeline`` run their workload once and report wall time,
+events/sec and (for the GPU frame) fragments/sec.  Their identity
+fingerprint must equal the pin for the run's scale: :data:`PINNED_IDENTITY`
+at the reduced scales, the seed commit's fingerprint in
+:data:`SEED_BASELINE` at ``scale="default"``, which also reports the
+speedup against the wall time recorded there.
 
-Machine-independence: the on-vs-off ratio and the identity fingerprint
-are meaningful on any host — CI gates on those (:func:`gate`).  The
+Machine-independence: the identity pins and the ffwd error bounds are
+meaningful on any host — CI gates on those (:func:`gate`).  The
 seed-baseline speedup is only meaningful on hardware comparable to the
 machine the baseline was recorded on; it is reported, never gated.
 
@@ -43,16 +43,14 @@ import platform
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Optional
-
-from repro import fastpath
+from typing import Callable
 
 #: Wall times recorded for the ``scale="default"`` workloads at the seed
-#: commit (the tree immediately before the fastpath layer landed), same
-#: timing boundary (run only, assembly excluded), same machine as the
-#: committed BENCH_*.json artifacts.  ``events_fired`` doubles as an
-#: identity check: the fastpath must fire exactly as many events as the
-#: seed did.
+#: commit (the tree immediately before the compiled hot paths landed),
+#: same timing boundary (run only, assembly excluded), same machine as the
+#: committed BENCH_*.json artifacts.  The fingerprint keys are the
+#: default scale's identity pin: a run must fire exactly as many events,
+#: end at the same tick and draw the same framebuffer as the seed did.
 SEED_BASELINE = {
     "commit": "f9eb076",
     "fig14": {"wall_s": 2.875, "end_tick": 1_357_432,
@@ -61,10 +59,33 @@ SEED_BASELINE = {
                  "events_fired": 125_678, "fb_crc": 2197508556},
 }
 
+#: Identity fingerprints of the reduced-scale ``fig14`` and ``pipeline``
+#: runs, recorded at commit 38ff8ab — the last tree that still carried a
+#: second, reference engine (heap-only event kernel, decode-every-op warp
+#: interpreter) — where both engines produced exactly these values.
+PINNED_IDENTITY = {
+    "smoke": {
+        "fig14": {"end_tick": 240_000, "events_fired": 46_972,
+                  "fb_crc": 723212397, "row_hit_rate": 0.2994871794871795,
+                  "mean_gpu_time": 7703.0},
+        "pipeline": {"cycles": 14_433, "fragments": 1690,
+                     "events_fired": 58_735, "fb_crc": 4187011321,
+                     "dram_bytes": 55_424},
+    },
+    "micro": {
+        "fig14": {"end_tick": 120_000, "events_fired": 25_446,
+                  "fb_crc": 511478711, "row_hit_rate": 0.3783783783783784,
+                  "mean_gpu_time": 0.0},
+        "pipeline": {"cycles": 9863, "fragments": 417,
+                     "events_fired": 42_027, "fb_crc": 554418416,
+                     "dram_bytes": 35_456},
+    },
+}
+
 BENCHMARKS = ("fig14", "pipeline", "ffwd")
 SCALES = ("default", "smoke", "micro")
 
-#: Identity keys compared between the two modes, per benchmark.
+#: Identity keys recorded in each report, per benchmark.
 _IDENTITY = {
     "fig14": ("end_tick", "events_fired", "fb_crc", "row_hit_rate",
               "mean_gpu_time"),
@@ -122,15 +143,14 @@ def _fig14_config(scale: str):
 
 
 def run_fig14(scale: str = "default") -> dict:
-    """Benchmark the Fig. 14 unit (M1 / BAS / high load), on vs off."""
+    """Benchmark the Fig. 14 unit (M1 / BAS / high load)."""
     from repro.harness.case_study1 import make_cs1_soc
 
     config = _fig14_config(scale)
 
-    def once(fast: bool) -> dict:
-        with fastpath.use_fastpath(fast):
-            soc = make_cs1_soc("M1", "BAS", "high", config=config)
-            wall, results = _timed(soc.run)
+    def once() -> dict:
+        soc = make_cs1_soc("M1", "BAS", "high", config=config)
+        wall, results = _timed(soc.run)
         events = soc.events.events_fired
         return {
             "wall_s": round(wall, 4),
@@ -163,15 +183,14 @@ def run_pipeline(scale: str = "default") -> dict:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     width, height = sizes[scale]
 
-    def once(fast: bool) -> dict:
-        with fastpath.use_fastpath(fast):
-            session = SceneSession("teapot", width, height)
-            frame = session.frame(0)
-            events = EventQueue()
-            memory = build_baseline_memory(events, DRAMConfig(channels=2))
-            gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
-                             width, height, memory=memory)
-            wall, stats = _timed(lambda: gpu.run_frame(frame))
+    def once() -> dict:
+        session = SceneSession("teapot", width, height)
+        frame = session.frame(0)
+        events = EventQueue()
+        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
+                         width, height, memory=memory)
+        wall, stats = _timed(lambda: gpu.run_frame(frame))
         fired = events.events_fired
         return {
             "wall_s": round(wall, 4),
@@ -337,38 +356,44 @@ def run_ffwd(scale: str = "default") -> dict:
 
 
 def _report(name: str, scale: str, workload: dict, once: Callable) -> dict:
-    on = once(True)
-    off = once(False)
-    keys = _IDENTITY[name]
-    identity = {key: on[key] for key in keys}
-    identical = all(on[key] == off[key] for key in keys)
+    measured = once()
     seed = SEED_BASELINE[name] if scale == "default" else None
     seed_wall = seed.get("wall_s") if seed else None
     return {
         "benchmark": name,
         "scale": scale,
         "workload": workload,
-        "fastpath_on": on,
-        "fastpath_off": off,
-        "identical": identical,
-        "identity": identity,
-        "speedup_on_vs_off": round(off["wall_s"] / on["wall_s"], 3),
+        "run": measured,
+        "identity": {key: measured[key] for key in _IDENTITY[name]},
         "seed_baseline": dict(seed, commit=SEED_BASELINE["commit"])
         if seed else None,
-        "speedup_vs_seed": round(seed_wall / on["wall_s"], 3)
+        "speedup_vs_seed": round(seed_wall / measured["wall_s"], 3)
         if seed_wall else None,
         "host": _host(),
         "generated_by": "python -m repro bench",
     }
 
 
-def gate(report: dict, min_on_off: float = 0.9) -> list:
+def pinned_identity(report: dict) -> dict:
+    """The fingerprint a ``fig14``/``pipeline`` report must reproduce:
+    :data:`PINNED_IDENTITY` at the reduced scales, the report's seed
+    baseline at ``scale="default"``."""
+    pins = PINNED_IDENTITY.get(report["scale"])
+    if pins is not None:
+        return pins[report["benchmark"]]
+    seed = report.get("seed_baseline") or {}
+    return {key: seed[key] for key in _IDENTITY[report["benchmark"]]
+            if key in seed}
+
+
+def gate(report: dict, min_sampled_speedup: float = 0.9) -> list:
     """Machine-independent pass/fail checks for one report.
 
-    Returns a list of failure strings (empty = pass).  Identity is a hard
-    requirement; the speed check only fails when fastpath-on is *slower*
-    than fastpath-off beyond the noise allowance (``min_on_off``), since
-    absolute wall times vary across hosts.
+    Returns a list of failure strings (empty = pass).  ``fig14`` and
+    ``pipeline`` fail on any drift from :func:`pinned_identity`; ``ffwd``
+    fails on a fast-forward CRC mismatch, an extrapolation error over its
+    bound, or a sampled run slower than full detail beyond the noise
+    allowance (``min_sampled_speedup``).
     """
     failures = []
     name = report["benchmark"]
@@ -385,32 +410,21 @@ def gate(report: dict, min_on_off: float = 0.9) -> list:
                 failures.append(
                     f"ffwd: {metric} extrapolation error {error * 100:.2f}% "
                     f"exceeds the {bound * 100:.0f}% bound")
-        if report["speedup_sampled_vs_full"] < min_on_off:
+        if report["speedup_sampled_vs_full"] < min_sampled_speedup:
             failures.append(
                 f"ffwd: sampled run is slower than full detail "
                 f"({report['sampled']['wall_s']:.3f}s vs "
                 f"{report['full_detail']['wall_s']:.3f}s, ratio "
-                f"{report['speedup_sampled_vs_full']:.3f} < {min_on_off})")
+                f"{report['speedup_sampled_vs_full']:.3f} < "
+                f"{min_sampled_speedup})")
         return failures
-    if not report["identical"]:
-        keys = _IDENTITY[name]
-        diffs = [key for key in keys
-                 if report["fastpath_on"][key] != report["fastpath_off"][key]]
-        failures.append(f"{name}: fastpath on/off runs differ on "
-                        f"{', '.join(diffs)} — optimization changed the model")
-    if report["speedup_on_vs_off"] < min_on_off:
-        failures.append(
-            f"{name}: fastpath-on is slower than fastpath-off "
-            f"({report['fastpath_on']['wall_s']:.3f}s vs "
-            f"{report['fastpath_off']['wall_s']:.3f}s, ratio "
-            f"{report['speedup_on_vs_off']:.3f} < {min_on_off})")
-    seed = report.get("seed_baseline") or {}
-    for key in ("end_tick", "events_fired", "cycles", "fb_crc"):
-        expected = seed.get(key)
-        if expected is not None and report["identity"].get(key) != expected:
+    identity = report["identity"]
+    for key, expected in pinned_identity(report).items():
+        if identity.get(key) != expected:
             failures.append(
-                f"{name}: {key} {report['identity'][key]} != seed-recorded "
-                f"{expected} — the schedule drifted from the seed commit")
+                f"{name}: {key} {identity.get(key)} != pinned {expected} "
+                f"at scale {report['scale']} — the simulation drifted "
+                f"from the pinned fingerprint")
     return failures
 
 
@@ -448,22 +462,17 @@ def format_summary(report: dict) -> str:
         lines.append(f"  extrapolation error (bound "
                      f"{report['error_bound'] * 100:.0f}%): {errors}")
         return "\n".join(lines)
-    on, off = report["fastpath_on"], report["fastpath_off"]
+    row = report["run"]
+    extra = (f"  {row['fragments_per_s']:>10,.0f} frags/s"
+             if "fragments_per_s" in row else "")
     lines = [f"{report['benchmark']} ({report['scale']}): "
              f"{report['workload']['name']} "
-             f"{report['workload']['width']}x{report['workload']['height']}"]
-    lines.append(f"  {'mode':<12}  {'wall':>8}  {'events/s':>12}"
-                 + (f"  {'frags/s':>10}" if "fragments_per_s" in on else ""))
-    for label, row in (("fastpath on", on), ("fastpath off", off)):
-        extra = (f"  {row['fragments_per_s']:>10,.0f}"
-                 if "fragments_per_s" in row else "")
-        lines.append(f"  {label:<12}  {row['wall_s']:>7.3f}s  "
-                     f"{row['events_per_s']:>12,.0f}{extra}")
-    lines.append(f"  identical: {report['identical']}   "
-                 f"on vs off: {report['speedup_on_vs_off']:.2f}x"
-                 + (f"   vs seed {report['seed_baseline']['commit']}: "
-                    f"{report['speedup_vs_seed']:.2f}x"
-                    if report["speedup_vs_seed"] else ""))
+             f"{report['workload']['width']}x{report['workload']['height']}",
+             f"  wall {row['wall_s']:>7.3f}s  "
+             f"{row['events_per_s']:>12,.0f} events/s{extra}"]
+    if report["speedup_vs_seed"]:
+        lines.append(f"  vs seed {report['seed_baseline']['commit']}: "
+                     f"{report['speedup_vs_seed']:.2f}x")
     return "\n".join(lines)
 
 

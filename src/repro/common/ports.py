@@ -224,38 +224,18 @@ class RequestPort:
         return f"RequestPort({self.name} -> {peer})"
 
 
-class AccessAdapter:
-    """Wraps a legacy ``access(address, size, write, callback)`` level
-    (PerfectMemory, LatencyPort, ad-hoc test doubles) as a ResponsePort."""
-
-    def __init__(self, level) -> None:
-        self.level = level
-        name = getattr(level, "name", type(level).__name__)
-        self.ingress = ResponsePort(f"{name}.in", self._recv, owner=self)
-
-    def _recv(self, request) -> bool:
-        callback = None
-        if request.callback is not None or request.route:
-            callback = lambda completed=request: respond(completed)  # noqa: E731
-        self.level.access(request.address, request.size, request.write,
-                          callback)
-        return True
-
-
 def as_response_port(target) -> ResponsePort:
     """Coerce a connection target into a ResponsePort.
 
     Accepts, in order of preference: a ResponsePort; anything exposing an
     ``ingress`` ResponsePort (caches, links, the NoC, the memory system);
-    a legacy ``access(...)`` level; or a bare ``submit(request)`` callable.
+    or a bare ``submit(request)`` callable.
     """
     if isinstance(target, ResponsePort):
         return target
     ingress = getattr(target, "ingress", None)
     if isinstance(ingress, ResponsePort):
         return ingress
-    if callable(getattr(target, "access", None)):
-        return AccessAdapter(target).ingress
     if callable(target):
         def handler(request, _sink=target):
             _sink(request)

@@ -230,8 +230,7 @@ class SIMTCore:
             routes = self._space_routes
             mem_done = self._mem_done
             # One completion closure per op (every transaction wakes the
-            # same warp) handed straight to _handle — the access() shim
-            # would wrap a zero-arg lambda per transaction on top of it.
+            # same warp), handed straight to the L1's request handler.
             callback = lambda completed, w=warp: mem_done(w)  # noqa: E731
             for transaction in transactions:
                 cache = routes[transaction.space]

@@ -1,25 +1,29 @@
-"""Compiled per-program dispatch tables for the warp executor (fastpath).
+"""Compiled per-program dispatch tables: the warp executor.
 
-The reference :class:`~repro.shader.interpreter.WarpInterpreter` decodes
-every instruction on every dynamic execution: isinstance checks per
-operand, opcode dict probes, a fresh ``np.errstate`` context per op.  At
-hundreds of thousands of dynamic warp instructions per frame that decode
-cost dominates the actual numpy lane arithmetic.
+A plain interpreter decodes every instruction on every dynamic execution:
+isinstance checks per operand, opcode dict probes, a fresh
+``np.errstate`` context per op.  At hundreds of thousands of dynamic warp
+instructions per frame that decode cost dominates the actual numpy lane
+arithmetic.
 
 This module performs the decode **once per program**: each instruction is
 compiled to a pre-bound handler closure (operand register indices and
 immediate lane arrays captured at build time), and the run loop walks the
 handler table with a single ``errstate`` around the whole execution.  The
 table is cached per ``(program digest, warp size)`` by
-:func:`repro.shader.compiler.dispatch_for`.
+:func:`repro.shader.compiler.dispatch_for`, and
+:meth:`repro.shader.interpreter.WarpInterpreter.run` always executes
+through it.
 
-Bit-identity contract: for any program/env/mask, :meth:`CompiledProgram.run`
+Equivalence contract: for any program/env/mask, :meth:`CompiledProgram.run`
 returns an :class:`~repro.shader.interpreter.ExecResult` whose trace
 (op/pc/active_lanes/accesses sequences), discarded and completed masks,
-register effects and env side effects are exactly those of the reference
-interpreter — same numpy operations on the same values in the same order,
-only the Python interpretation overhead removed.  ``tests/shader/
-test_dispatch.py`` pins this equivalence per opcode family.
+register effects and env side effects are exactly those of the
+decode-every-instruction reference loop kept in
+``tests/shader/reference_interpreter.py`` — same numpy operations on the
+same values in the same order, only the Python interpretation overhead
+removed.  ``tests/shader/test_dispatch.py`` pins this equivalence per
+opcode family and checks that every opcode is covered.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ def _make_reader(operand, width: int):
 def _build_handler(instr: Instruction, width: int):
     """Compile one instruction to ``handler(regs, preds, mask, record, env)``.
 
-    Each family mirrors the corresponding ``WarpInterpreter._execute``
-    branch exactly (same array expressions, same masked writes, same
+    Each family mirrors the corresponding branch of the reference
+    interpreter's ``_execute`` exactly (same array expressions, same masked writes, same
     ``record.accesses`` extension order).
     """
     op = instr.op
@@ -272,7 +276,7 @@ class CompiledProgram:
 
     def run(self, env, initial_mask: Optional[np.ndarray] = None,
             max_dynamic_instructions: int = 100_000) -> ExecResult:
-        """Execute one warp; mirrors ``WarpInterpreter.run`` step for step."""
+        """Execute one warp; mirrors the reference loop step for step."""
         width = self.width
         exit_pc = self.exit_pc
         table = self.table

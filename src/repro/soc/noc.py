@@ -40,7 +40,7 @@ from repro.common.events import EventQueue
 from repro.common.ports import Link, RequestPort, ResponsePort
 from repro.common.stats import StatGroup
 from repro.health.interpose import EXTRA_KEY, ResilienceTap, WatchdogTap
-from repro.memory.request import MemRequest, SourceType, adapt_completion
+from repro.memory.request import MemRequest
 
 
 class EndpointRouter:
@@ -195,14 +195,3 @@ class SystemNoC:
         callers connect a port to ``ingress`` instead.
         """
         self._entry.send(request, tick=self.events.now)
-
-    def access(self, address, size, write, callback):
-        """Cache-port compatible entry (used behind the GPU L2).
-
-        The completed :class:`MemRequest` is passed through to callbacks
-        that accept it (latency and fault markers flow back to the
-        issuer); zero-argument cache callbacks are invoked bare.
-        """
-        self.submit(MemRequest(
-            address=address, size=size, write=write, source=SourceType.GPU,
-            callback=adapt_completion(callback)))

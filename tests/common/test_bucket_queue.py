@@ -1,21 +1,19 @@
-"""Bucketed (calendar) event-kernel mode: ordering and wakeup guarantees.
+"""Calendar-bucket event kernel: ordering and wakeup guarantees.
 
-The bucket drain must be *observationally identical* to the reference
-one-heap-pop-per-event path: same firing order, same ``now`` trajectory,
-same ``events_fired``.  The dangerous cases are all same-tick: an event
-scheduled at the current tick while that tick's bucket is mid-drain must
-still run this tick (no lost wakeup), and cancellations must be honored
-whether the victim sits in the bucket or the heap.
+The bucket drain must be *observationally identical* to firing one heap
+pop per event (the :class:`~tests.common.heap_queue.HeapQueue` oracle):
+same firing order, same ``now`` trajectory, same ``events_fired``.  The
+dangerous cases are all same-tick: an event scheduled at the current tick
+while that tick's bucket is mid-drain must still run this tick (no lost
+wakeup), and cancellations must be honored whether the victim sits in the
+bucket or the heap.
 """
 
 import random
 
 from repro.common.events import EventQueue, StopReason, Ticker
-from repro.fastpath import use_fastpath
 
-
-def make_queue(bucketed):
-    return EventQueue(bucketed=bucketed)
+from tests.common.heap_queue import HeapQueue
 
 
 class TestNoLostWakeup:
@@ -23,7 +21,7 @@ class TestNoLostWakeup:
         """The satellite regression: a callback running at tick T schedules
         another event at delay 0; with the T-bucket already drained from
         the heap, the new event must still execute at T, in seq order."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
 
         def second():
@@ -39,7 +37,7 @@ class TestNoLostWakeup:
         assert log == [("first", 5), ("between", 5), ("second", 5)]
 
     def test_same_tick_schedule_during_drain_under_run_until(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
         queue.schedule(5, lambda: queue.schedule(0, lambda: log.append(queue.now)))
         result = queue.run_until(5)
@@ -47,7 +45,7 @@ class TestNoLostWakeup:
         assert result.reason is StopReason.DRAINED
 
     def test_chained_zero_delay_cascade_stays_on_tick(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         fired = []
 
         def chain(depth):
@@ -64,7 +62,7 @@ class TestNoLostWakeup:
         """Ticker re-audit: a period-1 ticker re-scheduling from inside the
         drained tick must land on the *next* tick, never re-fire in the
         same bucket."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         ticks = []
 
         def tick():
@@ -78,7 +76,7 @@ class TestNoLostWakeup:
 
 class TestCancellation:
     def test_cancel_event_already_moved_to_bucket(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
         victim = {}
 
@@ -94,7 +92,7 @@ class TestCancellation:
         assert queue.events_fired == 2
 
     def test_peek_time_skips_cancelled_bucket_heads(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         events = [queue.schedule(2, lambda: None) for _ in range(3)]
         queue.step()                 # drains the cohort into the bucket
         for event in events[1:]:
@@ -104,10 +102,11 @@ class TestCancellation:
 
 
 class TestBucketHeapEquivalence:
-    def test_fuzzed_schedules_fire_identically_in_both_modes(self):
-        """Randomized workload replayed in both kernel modes: recursive
-        schedules, same-tick bursts and cancellations must produce the
-        same (time, label) firing sequence and the same events_fired."""
+    def test_fuzzed_schedules_fire_identically_in_kernel_and_heap_oracle(self):
+        """Randomized workload replayed on the kernel and on the heap-only
+        oracle: recursive schedules, same-tick bursts and cancellations
+        must produce the same (time, label) firing sequence and the same
+        events_fired."""
 
         def workload(queue):
             rng = random.Random(1234)
@@ -131,23 +130,16 @@ class TestBucketHeapEquivalence:
             queue.run()
             return log, queue.events_fired
 
-        log_bucket, fired_bucket = workload(make_queue(bucketed=True))
-        log_heap, fired_heap = workload(make_queue(bucketed=False))
+        log_bucket, fired_bucket = workload(EventQueue())
+        log_heap, fired_heap = workload(HeapQueue())
         assert log_bucket == log_heap
         assert fired_bucket == fired_heap
         assert len(log_bucket) > 50          # the fuzz actually ran
 
-    def test_mode_resolves_from_fastpath_switch(self):
-        with use_fastpath(True):
-            assert EventQueue().bucketed
-        with use_fastpath(False):
-            assert not EventQueue().bucketed
-        assert EventQueue(bucketed=False).bucketed is False
-
     def test_run_until_horizon_with_live_bucket(self):
         """run_until must not fire bucket events beyond the horizon and
         must report HORIZON with the remaining cohort intact."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         fired = []
         for delay in (1, 1, 4, 4):
             queue.schedule(delay, fired.append, delay)

@@ -272,6 +272,10 @@ class TestTicker:
         q = EventQueue()
         with pytest.raises(ValueError):
             Ticker(q, period=0, callback=lambda: False)
+        # A sub-tick period truncates to zero ticks and would re-fire at
+        # the same tick until the event budget ran out.
+        with pytest.raises(ValueError):
+            Ticker(q, period=0.5, callback=lambda: True)
 
     def test_kick_with_delay(self):
         q = EventQueue()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.events import EventQueue
 from repro.common.ports import (
-    AccessAdapter,
     Link,
     PortProtocolError,
     PortTap,
@@ -152,35 +151,6 @@ def test_on_response_false_consumes_the_unwind():
 # -- adapters ------------------------------------------------------------------
 
 
-class LegacyLevel:
-    def __init__(self):
-        self.calls = []
-
-    def access(self, address, size, write, callback):
-        self.calls.append((address, size, write))
-        if callback is not None:
-            callback()
-
-
-def test_access_adapter_bridges_legacy_levels():
-    level = LegacyLevel()
-    done = []
-    port = RequestPort("p").connect(level)
-    assert isinstance(port.peer, ResponsePort)
-    request = make_request(callback=done.append)
-    assert port.try_send(request)
-    assert level.calls == [(0x1000, 64, False)]
-    assert done == [request]
-
-
-def test_access_adapter_fire_and_forget_passes_no_callback():
-    level = LegacyLevel()
-    adapter = AccessAdapter(level)
-    request = make_request()        # no callback, no route
-    assert adapter.ingress._recv(request)
-    assert level.calls == [(0x1000, 64, False)]
-
-
 def test_as_response_port_accepts_bare_callable():
     received = []
     port = RequestPort("p").connect(received.append)
@@ -197,6 +167,18 @@ def test_as_response_port_prefers_ingress():
 def test_as_response_port_rejects_garbage():
     with pytest.raises(TypeError):
         as_response_port(42)
+
+
+def test_as_response_port_rejects_access_only_levels():
+    """The pre-port ``access(address, size, write, callback)`` convention
+    is not adapted: a level must expose an ``ingress`` ResponsePort."""
+
+    class AccessOnly:
+        def access(self, address, size, write, callback):
+            raise AssertionError("never called")
+
+    with pytest.raises(TypeError):
+        as_response_port(AccessOnly())
 
 
 # -- PortTap -------------------------------------------------------------------

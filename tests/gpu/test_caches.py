@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from repro.common.config import CacheConfig
 from repro.common.events import EventQueue
-from repro.gpu.caches import Cache, LatencyPort, PerfectMemory
+from repro.gpu.caches import Cache, PerfectMemory
 from repro.gpu.coalescer import CoalescedAccess, coalesce, coalescing_ratio
+from repro.memory.request import MemRequest, SourceType
 from repro.shader.interpreter import MemAccess
 from repro.shader.isa import MemSpace
+
+from tests.common.port_helpers import issue
 
 
 def make_cache(size=1024, ways=2, line=128, mem_latency=100):
@@ -23,9 +26,9 @@ class TestCacheBasics:
     def test_cold_miss_then_hit(self):
         events, cache, memory = make_cache()
         times = []
-        cache.access(0, 128, False, lambda: times.append(events.now))
+        issue(cache, 0, callback=lambda r: times.append(events.now))
         events.run()
-        cache.access(0, 128, False, lambda: times.append(events.now))
+        issue(cache, 0, callback=lambda r: times.append(events.now))
         start = events.now
         events.run()
         assert times[0] >= 100                      # went to memory
@@ -35,16 +38,16 @@ class TestCacheBasics:
 
     def test_different_lines_miss_separately(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, False, None)
-        cache.access(128, 128, False, None)
+        issue(cache, 0)
+        issue(cache, 128)
         events.run()
         assert memory.accesses == 2
 
     def test_mshr_merges_secondary_miss(self):
         events, cache, memory = make_cache()
         done = []
-        cache.access(0, 128, False, lambda: done.append("a"))
-        cache.access(0, 128, False, lambda: done.append("b"))
+        issue(cache, 0, callback=lambda r: done.append("a"))
+        issue(cache, 0, callback=lambda r: done.append("b"))
         events.run()
         assert sorted(done) == ["a", "b"]
         assert memory.accesses == 1
@@ -54,7 +57,7 @@ class TestCacheBasics:
         # 2-way, line 128, 1024 bytes -> 4 sets. Same set: stride 512.
         events, cache, memory = make_cache(size=1024, ways=2)
         for address in (0, 512, 1024):    # third line evicts the first
-            cache.access(address, 128, False, None)
+            issue(cache, address)
             events.run()
         assert not cache.contains(0)
         assert cache.contains(512)
@@ -63,22 +66,22 @@ class TestCacheBasics:
     def test_lru_touch_refreshes(self):
         events, cache, memory = make_cache(size=1024, ways=2)
         for address in (0, 512):
-            cache.access(address, 128, False, None)
+            issue(cache, address)
             events.run()
-        cache.access(0, 128, False, None)     # touch 0: now MRU
+        issue(cache, 0)     # touch 0: now MRU
         events.run()
-        cache.access(1024, 128, False, None)  # evicts 512, not 0
+        issue(cache, 1024)  # evicts 512, not 0
         events.run()
         assert cache.contains(0)
         assert not cache.contains(512)
 
     def test_dirty_eviction_writes_back(self):
         events, cache, memory = make_cache(size=1024, ways=2)
-        cache.access(0, 128, True, None)      # dirty line
+        issue(cache, 0, write=True)      # dirty line
         events.run()
         reads_before = memory.accesses
-        cache.access(512, 128, False, None)
-        cache.access(1024, 128, False, None)  # evicts dirty line 0
+        issue(cache, 512)
+        issue(cache, 1024)  # evicts dirty line 0
         events.run()
         assert cache.stats.counter("writebacks").value == 1
         # fills for 512 & 1024 plus one writeback
@@ -86,9 +89,9 @@ class TestCacheBasics:
 
     def test_flush_dirty(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, True, None)
-        cache.access(128, 128, True, None)
-        cache.access(256, 128, False, None)
+        issue(cache, 0, write=True)
+        issue(cache, 128, write=True)
+        issue(cache, 256)
         events.run()
         before = memory.accesses
         assert cache.flush_dirty() == 2
@@ -98,7 +101,7 @@ class TestCacheBasics:
 
     def test_write_allocate(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, True, None)
+        issue(cache, 0, write=True)
         events.run()
         assert cache.contains(0)
         assert memory.accesses == 1           # fill on write miss
@@ -110,16 +113,16 @@ class TestMSHREdgeCases:
         line, or the write is silently lost at eviction time."""
         events, cache, memory = make_cache(size=1024, ways=2)
         done = []
-        cache.access(0, 128, False, lambda: done.append("read"))
-        cache.access(0, 128, True, lambda: done.append("write"))
+        issue(cache, 0, callback=lambda r: done.append("read"))
+        issue(cache, 0, write=True, callback=lambda r: done.append("write"))
         assert cache._mshrs[0].write        # the merge dirtied the entry
         events.run()
         assert sorted(done) == ["read", "write"]
         assert cache.stats.counter("mshr_merges").value == 1
         # Evict line 0 (2-way set, stride 512): the merged write must
         # surface as a writeback.
-        cache.access(512, 128, False, None)
-        cache.access(1024, 128, False, None)
+        issue(cache, 512)
+        issue(cache, 1024)
         events.run()
         assert cache.stats.counter("writebacks").value == 1
 
@@ -130,8 +133,7 @@ class TestMSHREdgeCases:
         events, cache, memory = make_cache(size=1024, ways=2)
         done = []
         for address in (0, 512, 1024):      # all map to set 0
-            cache.access(address, 128, False,
-                         lambda a=address: done.append(a))
+            issue(cache, address, callback=lambda r, a=address: done.append(a))
         assert len(cache._mshrs) == 3       # all in flight at once
         events.run()
         assert sorted(done) == [0, 512, 1024]
@@ -143,7 +145,7 @@ class TestMSHREdgeCases:
     def test_mshr_occupancy_histogram_tracks_full_occupancy(self):
         events, cache, memory = make_cache()
         for index in range(8):
-            cache.access(index * 128, 128, False, None)
+            issue(cache, index * 128)
         assert len(cache._mshrs) == 8
         occupancy = cache.stats.histogram("mshr_occupancy")
         assert occupancy.count == 8         # one sample per allocation
@@ -153,22 +155,32 @@ class TestMSHREdgeCases:
 
     def test_mshr_allocation_tick_is_current_time(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, False, None)
+        issue(cache, 0)
         events.run()
         assert events.now >= 100
-        cache.access(4096, 128, False, None)
+        issue(cache, 4096)
         assert cache._mshrs[cache.line_of(4096)].allocated_at == events.now
 
 
-class TestLatencyPort:
-    def test_adds_latency(self):
+class TestPerfectMemory:
+    def test_answers_through_ingress_after_latency(self):
         events = EventQueue()
         memory = PerfectMemory(events, latency=10)
-        port = LatencyPort(events, latency=5, next_level=memory)
         done = []
-        port.access(0, 128, False, lambda: done.append(events.now))
+        request = issue(memory, 0, callback=lambda r: done.append(
+            (r, events.now)))
         events.run()
-        assert done == [15]
+        assert done == [(request, 10)]
+        assert request.route == []          # response path fully unwound
+        assert (memory.accesses, memory.bytes) == (1, 128)
+
+    def test_bare_fire_and_forget_schedules_nothing(self):
+        events = EventQueue()
+        memory = PerfectMemory(events, latency=10)
+        assert memory.ingress._recv(MemRequest(
+            address=0, size=64, write=True, source=SourceType.GPU))
+        assert events.empty()
+        assert (memory.accesses, memory.bytes) == (1, 64)
 
 
 class TestCoalescer:

@@ -16,6 +16,8 @@ from repro.sanitize import (
     Sanitizer,
 )
 
+from tests.common.port_helpers import issue
+
 
 def make_request(address=0x1000):
     return MemRequest(address=address, size=64, write=False,
@@ -49,7 +51,7 @@ class TestMSHRLeak:
         cache = self.make_leaky_cache(events)
         sanitizer = Sanitizer(events, SanitizeConfig(mshr_age=1_000))
         sanitizer.register_cache(cache)
-        cache.access(0, 128, False, lambda: None)
+        issue(cache, 0, callback=lambda r: None)
         sanitizer.sweep(500)                    # in flight, young: fine
         with pytest.raises(ResourceLeakViolation) as excinfo:
             sanitizer.sweep(5_000)
@@ -60,7 +62,7 @@ class TestMSHRLeak:
     def test_entry_allocation_tick_is_stamped(self):
         events = EventQueue()
         cache = self.make_leaky_cache(events)
-        events.schedule(750, cache.access, 0, 128, False, None)
+        events.schedule(750, issue, cache, 0)
         events.run()
         (entry,) = cache._mshrs.values()
         assert entry.allocated_at == 750
@@ -71,7 +73,7 @@ class TestMSHRLeak:
         sanitizer = Sanitizer(events, SanitizeConfig(mshr_age=10**9,
                                                      mode="record"))
         sanitizer.register_cache(cache)
-        cache.access(0, 128, False, lambda: None)
+        issue(cache, 0, callback=lambda r: None)
         stranded = sanitizer.check_drained()
         assert [v.kind for v in stranded] == ["resource-leak"]
 

@@ -12,6 +12,8 @@ from repro.soc.checkpoint import (CheckpointError, GraphicsCheckpoint,
                                   capture)
 from repro.soc.noc import SystemNoC
 
+from tests.common.port_helpers import issue
+
 
 class TestSystemNoC:
     def test_adds_latency(self):
@@ -28,12 +30,12 @@ class TestSystemNoC:
         assert done[0].issue_time >= 25
 
     def test_cache_port_interface(self):
-        """The GPU L2 talks to the NoC through the cache access API."""
+        """The GPU L2 talks to the NoC through its ingress port."""
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         times = []
-        noc.access(0, 128, False, lambda: times.append(events.now))
+        issue(noc, 0, callback=lambda r: times.append(events.now))
         events.run()
         assert times and times[0] > 5
         assert memory.total_bytes(SourceType.GPU) == 128
@@ -42,18 +44,18 @@ class TestSystemNoC:
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
-        noc.access(0, 128, True, None)
+        issue(noc, 0, write=True)
         events.run()
         assert memory.total_bytes(SourceType.GPU) == 128
 
     def test_access_passes_completed_request_through(self):
-        """A one-argument callback receives the completed MemRequest, so
-        latency and fault markers flow back to the issuer."""
+        """The callback receives the completed MemRequest, so latency and
+        fault markers flow back to the issuer."""
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         seen = []
-        noc.access(0x400, 128, False, lambda request: seen.append(request))
+        issue(noc, 0x400, callback=seen.append)
         events.run()
         assert len(seen) == 1
         request = seen[0]
