@@ -7,7 +7,8 @@ still run a second, reference engine (heap-only kernel, decode-every-op
 warp interpreter) and both engines produced exactly these values: end
 tick / cycles, fired events, framebuffer and depth CRCs, DRAM bytes and
 a CRC of each SIMT core's ``stats.dump()``.  A checkpoint taken mid-run
-must resume to the same pinned framebuffer.
+must resume to the same pinned framebuffer, also when it crosses the
+functional/detailed engine boundary.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from repro.harness.scenes import SceneSession
 from repro.health import HealthConfig
 from repro.health.recovery import resume_run
+from repro.sampling.functional import FunctionalSim
 
 from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
 
@@ -109,3 +111,37 @@ class TestCheckpointResume:
             session.frame, session.framebuffer_address)
         assert len(results.frames) >= 1
         assert _crc(soc_resumed.gpu.fb.color) == CS1_PIN["fb_crc"]
+
+
+@pytest.mark.slow
+@pytest.mark.full_system
+class TestCheckpointAcrossModes:
+    @pytest.mark.parametrize("first,second", [(True, False), (False, True)])
+    def test_resume_crossing_the_mode_boundary(self, first, second):
+        """A snapshot written by one engine (``True``: detailed, ``False``:
+        functional) after frame 1 resumes under the other and still renders
+        the pinned framebuffer of the uninterrupted two-frame run."""
+        session = SceneSession("cube", WIDTH, HEIGHT)
+        if first:
+            soc_half = build_soc(num_frames=1,
+                                 health=HealthConfig(checkpoint_every=1))
+            soc_half.run()
+            checkpoint = soc_half.checkpoints.last
+        else:
+            checkpoint = FunctionalSim(tiny_config(num_frames=2),
+                                       session.frame, render="none") \
+                .run(1).checkpoint()
+        assert checkpoint is not None and checkpoint.frame_index == 1
+        assert checkpoint.mode == ("detailed" if first else "functional")
+
+        if second:
+            soc_resumed, results = resume_run(
+                checkpoint, tiny_config(num_frames=2),
+                session.frame, session.framebuffer_address)
+            assert len(results.frames) >= 1
+            fb_crc = _crc(soc_resumed.gpu.fb.color)
+        else:
+            fb_crc = FunctionalSim.from_checkpoint(
+                checkpoint, tiny_config(num_frames=2), session.frame,
+                render="boundary").run(2).fb_crc()
+        assert fb_crc == CS1_PIN["fb_crc"]
