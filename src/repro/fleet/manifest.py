@@ -23,11 +23,11 @@ address is treated as a miss, never trusted.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Optional
 
 from repro.fleet.job import JobSpec
+from repro.gl.trace import canonical_json
 
 #: Manifest / result payload schema identifiers (bump on format change).
 MANIFEST_SCHEMA = "repro-fleet-manifest/1"
@@ -39,15 +39,6 @@ RESULT_NAME = "result.json"
 
 class ManifestError(ValueError):
     """A manifest document failed validation."""
-
-
-def canonical_json(doc) -> str:
-    """The one true serialization: sorted keys, no whitespace.
-
-    Hashes and bit-for-bit comparisons both go through here, so two
-    processes serializing the same value always produce the same bytes.
-    """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 _code_version_cache: Optional[str] = None

@@ -17,6 +17,9 @@ makes frequent checkpointing (and the fast-forward/sampling drivers that
 snapshot at every mode switch) cheap.  :func:`replay` accepts both
 versions; interned ids are content digests, so two captures of the same
 command stream serialize byte-identically.
+
+The recorder writes :func:`canonical_json` text, so checkpoints splice it
+into their own encoding without parsing it (:mod:`repro.soc.checkpoint`).
 """
 
 from __future__ import annotations
@@ -57,17 +60,29 @@ TRACE_VERSION = 2
 TRACE_VERSIONS = (1, 2)
 
 
+def canonical_json(value) -> str:
+    """The one true serialization: sorted keys, no whitespace, ASCII.
+
+    Hashes and bit-for-bit comparisons go through here — trace digests,
+    checkpoint CRCs, fleet cache keys and payloads — so two processes
+    serializing the same value produce the same bytes.  The encoding of a
+    nested value is exactly its substring in the encoding of the enclosing
+    document, which is what lets :class:`TraceRecorder` and checkpoints
+    assemble documents from separately encoded pieces.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def trace_digest(trace_json: str) -> str:
     """Content digest of a trace document (format-independent).
 
-    SHA-256 over the canonical (sorted-keys, no-whitespace) serialization,
-    so two captures of the same command stream digest equal regardless of
-    the formatting they were written with.  The replay-determinism tests
-    pin capture -> replay -> re-capture to a fixed point of this digest.
+    SHA-256 over the :func:`canonical_json` serialization, so two captures
+    of the same command stream digest equal regardless of the formatting
+    they were written with.  The replay-determinism tests pin capture ->
+    replay -> re-capture to a fixed point of this digest.
     """
-    doc = _decode(trace_json)
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(
+        canonical_json(_decode(trace_json)).encode()).hexdigest()
 
 
 def _decode(trace_json: str) -> dict:
@@ -148,17 +163,19 @@ def _state_from_dict(d: dict) -> GLState:
 
 
 class _InternTable:
-    """Content-addressed side table (id -> value) built during capture.
+    """Content-addressed side table (id -> canonical JSON text).
 
     Array entries are keyed by a digest of the raw bytes (dtype + shape +
-    data) so the expensive ``tolist()`` materialization happens once per
-    *distinct* asset, not once per draw call per frame.  Ids only need to
-    be deterministic functions of content — both engines recording the
-    same command stream intern identical tables.
+    data) so the expensive ``tolist()`` materialization and its encoding
+    happen once per *distinct* asset, not once per draw call per frame.
+    Ids only need to be deterministic functions of content — both engines
+    recording the same command stream intern identical tables.  A table
+    lives on its :class:`TraceRecorder` and holds only the assets that
+    recorder's frames reference.
     """
 
     def __init__(self) -> None:
-        self.entries: dict[str, object] = {}
+        self.entries: dict[str, str] = {}
 
     def _array_key(self, prefix: bytes, array: np.ndarray) -> str:
         array = np.ascontiguousarray(array)
@@ -170,16 +187,21 @@ class _InternTable:
     def intern_array(self, array: np.ndarray) -> str:
         key = self._array_key(b"buf:", array)
         if key not in self.entries:
-            self.entries[key] = array.tolist()
+            self.entries[key] = canonical_json(array.tolist())
         return key
 
     def intern_texture(self, texture: Texture2D) -> str:
         key = self._array_key(b"tex:" + texture.name.encode() + b"\0",
                               texture.data)
         if key not in self.entries:
-            self.entries[key] = {"name": texture.name,
-                                 "data": texture.data.tolist()}
+            self.entries[key] = canonical_json(
+                {"name": texture.name, "data": texture.data.tolist()})
         return key
+
+    def to_json(self) -> str:
+        # Ids are hex digests: they encode as themselves, quoted.
+        return "{" + ",".join(f'"{key}":{self.entries[key]}'
+                              for key in sorted(self.entries)) + "}"
 
 
 def _draw_call_to_dict(call: DrawCall, buffers: _InternTable,
@@ -206,36 +228,37 @@ def _draw_call_to_dict(call: DrawCall, buffers: _InternTable,
 
 
 class TraceRecorder:
-    """Accumulates frames and serializes them to a JSON trace (v2)."""
+    """Accumulates frames and serializes them to a canonical JSON trace (v2).
+
+    Recording is incremental: a frame is encoded when it is recorded and
+    each distinct asset when a draw call first references it, so
+    :meth:`to_json` only joins stored pieces — a recorder that grows by a
+    frame per checkpoint pays for the new frame, not the whole history.
+    """
 
     def __init__(self) -> None:
-        self._frames: list[Frame] = []
+        self._buffers = _InternTable()
+        self._textures = _InternTable()
+        self._frames: list[str] = []
 
     def record_frame(self, frame: Frame) -> None:
-        self._frames.append(frame)
+        self._frames.append(canonical_json({
+            "width": frame.width,
+            "height": frame.height,
+            "clear_color": list(frame.clear_color),
+            "clear_depth": frame.clear_depth,
+            "clear_stencil": frame.clear_stencil,
+            "draw_calls": [
+                _draw_call_to_dict(dc, self._buffers, self._textures)
+                for dc in frame.draw_calls],
+        }))
 
     def to_json(self) -> str:
-        buffers = _InternTable()
-        textures = _InternTable()
-        frames = [
-            {
-                "width": f.width,
-                "height": f.height,
-                "clear_color": list(f.clear_color),
-                "clear_depth": f.clear_depth,
-                "clear_stencil": f.clear_stencil,
-                "draw_calls": [_draw_call_to_dict(dc, buffers, textures)
-                               for dc in f.draw_calls],
-            }
-            for f in self._frames
-        ]
-        doc = {
-            "version": TRACE_VERSION,
-            "buffers": buffers.entries,
-            "textures": textures.entries,
-            "frames": frames,
-        }
-        return json.dumps(doc)
+        # canonical_json of the whole document, keys in sorted order.
+        return (f'{{"buffers":{self._buffers.to_json()},'
+                f'"frames":[{",".join(self._frames)}],'
+                f'"textures":{self._textures.to_json()},'
+                f'"version":{TRACE_VERSION}}}')
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:

@@ -3,7 +3,9 @@
 A :class:`CheckpointManager` rides an :class:`~repro.soc.soc.EmeraldSoC`
 render loop and snapshots the graphics + loop state every N completed
 frames (draw-call trace, simulated tick, app frame counter — the same
-checkpoint format as :mod:`repro.soc.checkpoint`).  A run killed mid-frame
+checkpoint format as :mod:`repro.soc.checkpoint`).  Capture is incremental:
+the manager keeps one growing trace recorder, so a snapshot encodes only
+the frames rendered since the previous one.  A run killed mid-frame
 resumes from its last snapshot with :func:`resume_run`: the recorded draw
 calls are replayed through the functional model to rebuild GL state, the
 event clock is advanced to the snapshot tick, and the render loop restarts
@@ -19,6 +21,7 @@ from typing import Callable, Optional
 
 from repro.common.events import SimulationError
 from repro.gl.context import Frame
+from repro.gl.trace import TraceRecorder
 from repro.soc.checkpoint import (CheckpointTopologyError,
                                   GraphicsCheckpoint, capture)
 
@@ -84,18 +87,22 @@ class CheckpointManager:
         self.injector = injector
         self.last: Optional[GraphicsCheckpoint] = None
         self.checkpoints_taken = 0
-        self._frames: list[Frame] = []
+        # Everything snapshotted so far, encoded once; plus the frames
+        # rendered since the last snapshot, encoded at the next one.
+        self._recorder = TraceRecorder()
+        self._pending: list[Frame] = []
 
     def seed(self, frames: list[Frame]) -> None:
         """Pre-load frames replayed from a restored checkpoint so snapshots
         taken after a resume still cover the whole run."""
-        self._frames = list(frames)
+        self._recorder = TraceRecorder()
+        self._pending = list(frames)
 
     def wrap_source(self, frame_source: Callable[[int], Frame]
                     ) -> Callable[[int], Frame]:
         def observing_source(index: int) -> Frame:
             frame = frame_source(index)
-            self._frames.append(frame)
+            self._pending.append(frame)
             return frame
         return observing_source
 
@@ -105,10 +112,12 @@ class CheckpointManager:
             return
         rng = (self.injector.rng_state()
                if self.injector is not None else None)
-        self.last = capture(list(self._frames), tick=tick,
+        self.last = capture(self._pending, tick=tick,
                             frame_index=frame_index + 1, rng=rng,
                             job=self.job, topology=self.topology,
-                            mode="detailed", claim=self.claim)
+                            mode="detailed", claim=self.claim,
+                            recorder=self._recorder)
+        self._pending = []
         self.checkpoints_taken += 1
         if self.path is not None:
             # Write-then-rename: a process SIGKILL'd mid-serialize leaves

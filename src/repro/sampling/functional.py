@@ -32,6 +32,7 @@ import zlib
 from typing import Callable, Optional
 
 from repro.gl.context import Frame
+from repro.gl.trace import TraceRecorder
 from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.renderer import ReferenceRenderer
 from repro.soc.checkpoint import (CheckpointTopologyError, GraphicsCheckpoint,
@@ -75,7 +76,11 @@ class FunctionalSim:
             run_config.width, run_config.height,
             warp_size=gpu.core.warp_size,
             raster_tile_px=gpu.raster.raster_tile_px)
-        self.frames: list[Frame] = []
+        # The checkpoint trace grows by the frames executed since the last
+        # snapshot, so each snapshot encodes only those (as the detailed
+        # engine's CheckpointManager does).
+        self._recorder = TraceRecorder()
+        self._pending: list[Frame] = []
         self.next_frame = 0
         self.fb: Optional[Framebuffer] = None
         self.frames_rendered = 0
@@ -98,7 +103,7 @@ class FunctionalSim:
                     snapshot_hash=checkpoint.topology,
                     config_hash=config_hash)
         sim = cls(run_config, frame_source, render=render)
-        sim.frames = checkpoint.restore_frames()
+        sim._pending = checkpoint.restore_frames()
         sim.next_frame = checkpoint.frame_index
         return sim
 
@@ -119,7 +124,7 @@ class FunctionalSim:
                 f"num_frames {self.config.num_frames}")
         for index in range(self.next_frame, until_frame):
             frame = self.frame_source(index)
-            self.frames.append(frame)
+            self._pending.append(frame)
             if self.render == "all" or (self.render == "boundary"
                                         and index == until_frame - 1):
                 self.fb, _ = self._renderer.render(frame)
@@ -141,7 +146,9 @@ class FunctionalSim:
             raise FunctionalSimError(
                 "nothing executed yet — a checkpoint at frame 0 would "
                 "restore an empty run")
-        return capture(list(self.frames), tick=self.nominal_tick(),
-                       frame_index=self.next_frame, job=job,
-                       topology=self.topology.topology_hash(),
-                       mode="functional")
+        checkpoint = capture(self._pending, tick=self.nominal_tick(),
+                             frame_index=self.next_frame, job=job,
+                             topology=self.topology.topology_hash(),
+                             mode="functional", recorder=self._recorder)
+        self._pending = []
+        return checkpoint

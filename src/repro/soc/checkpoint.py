@@ -6,6 +6,13 @@ at restore.  Here a checkpoint bundles the recorded draw-call trace (the
 same JSON format as :mod:`repro.gl.trace`), the simulated time, and the
 app-side frame counter; restore rebuilds the GL-side state by replay.
 
+A snapshot has one canonical encoding (sorted keys, no whitespace — the
+form its CRC hashes), made once per snapshot and shared by everything that
+writes or checks it: :meth:`GraphicsCheckpoint.to_json` splices the
+recorder's already-canonical trace text between the encoded scalar fields
+instead of re-serializing it, chains the CRC over the pieces, and
+remembers the result until a field changes.
+
 Checkpoints are the crash-recovery substrate of the health subsystem
 (:mod:`repro.health.recovery`), so :meth:`GraphicsCheckpoint.from_json`
 validates its input strictly: a truncated or corrupted snapshot raises
@@ -17,11 +24,11 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.gl.context import Frame
-from repro.gl.trace import TraceRecorder, replay
+from repro.gl.trace import TraceRecorder, canonical_json, replay
 
 
 class CheckpointError(ValueError):
@@ -90,11 +97,33 @@ def _payload_crc(doc: dict) -> int:
     """CRC32 over the canonical serialization of everything but ``crc``.
 
     Canonical (sorted keys, no whitespace) so the digest is independent of
-    the formatting the snapshot happened to be written with.
+    the formatting the snapshot happened to be written with.  This is the
+    definition; the encoder and decoder compute the same value piecewise
+    (:func:`_spliced_crc`).
     """
     body = {key: value for key, value in doc.items() if key != "crc"}
-    return zlib.crc32(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+    return zlib.crc32(canonical_json(body).encode())
+
+
+def _around_trace(doc: dict) -> tuple[str, str]:
+    """(head, tail) with ``head + canonical_json(trace) + tail`` equal to
+    ``canonical_json({**doc, "trace": trace})`` for any trace value.
+
+    Sorted keys put every key below ``"trace"`` before it and the rest
+    (``"version"``) after it.
+    """
+    before = canonical_json({k: v for k, v in doc.items() if k < "trace"})
+    after = canonical_json({k: v for k, v in doc.items() if k > "trace"})
+    head = before[:-1] + ("," if len(before) > 2 else "") + '"trace":'
+    tail = ("," if len(after) > 2 else "") + after[1:]
+    return head, tail
+
+
+def _spliced_crc(head: str, trace_text: str, tail: str) -> int:
+    """:func:`_payload_crc` of ``head + trace_text + tail``, chained."""
+    crc = zlib.crc32(head.encode())
+    crc = zlib.crc32(trace_text.encode(), crc)
+    return zlib.crc32(tail.encode(), crc)
 
 
 @dataclass
@@ -136,6 +165,10 @@ class GraphicsCheckpoint:
     bundle can attribute the snapshot to the exact server process and
     claim that produced it.  Absent (None) outside server-claimed jobs
     and in pre-existing snapshots.
+
+    ``trace_json`` is canonical text (:func:`repro.gl.trace.canonical_json`),
+    as :class:`~repro.gl.trace.TraceRecorder`, :meth:`from_json` and
+    :meth:`rewind` produce it: :meth:`to_json` splices it verbatim.
     """
 
     trace_json: str
@@ -147,25 +180,27 @@ class GraphicsCheckpoint:
     mode: Optional[str] = None
     claim: Optional[str] = None
 
+    # The last encoding, keyed on the encoded fields and the trace text
+    # (callers mutate fields after capture); one per snapshot object.
+    _encoding = None
+
     def to_json(self) -> str:
-        doc = {
-            "version": CHECKPOINT_VERSION,
-            "tick": self.tick,
-            "frame_index": self.frame_index,
-            "trace": json.loads(self.trace_json),
-        }
-        if self.rng is not None:
-            doc["rng"] = self.rng
-        if self.job is not None:
-            doc["job"] = self.job
-        if self.topology is not None:
-            doc["topology"] = self.topology
-        if self.mode is not None:
-            doc["mode"] = self.mode
-        if self.claim is not None:
-            doc["claim"] = self.claim
-        doc["crc"] = _payload_crc(doc)
-        return json.dumps(doc)
+        """The canonical encoding, with the payload CRC embedded."""
+        scalars = {"version": CHECKPOINT_VERSION, "tick": self.tick,
+                   "frame_index": self.frame_index}
+        for name in ("rng", "job", "topology", "mode", "claim"):
+            value = getattr(self, name)
+            if value is not None:
+                scalars[name] = value
+        head, tail = _around_trace(scalars)
+        cached = self._encoding
+        if cached is not None and cached[:3] == (head, tail, self.trace_json):
+            return cached[3]
+        crc = _spliced_crc(head, self.trace_json, tail)
+        head_with_crc, _ = _around_trace({**scalars, "crc": crc})
+        text = head_with_crc + self.trace_json + tail
+        self._encoding = (head, tail, self.trace_json, text)
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "GraphicsCheckpoint":
@@ -179,6 +214,9 @@ class GraphicsCheckpoint:
         if not isinstance(doc, dict):
             raise CheckpointError(
                 f"expected an object, got {type(doc).__name__}", field="$")
+        # The trace is re-encoded once; the text serves both the CRC and
+        # the restored snapshot's trace_json.
+        trace_text = canonical_json(doc["trace"]) if "trace" in doc else None
         crc = doc.get("crc")
         if crc is not None:
             # Snapshots written by this version embed a payload CRC;
@@ -188,7 +226,12 @@ class GraphicsCheckpoint:
                 raise CheckpointCorruptError(
                     f"expected an integer, got {type(crc).__name__}",
                     field="crc")
-            actual = _payload_crc(doc)
+            if trace_text is None:
+                actual = _payload_crc(doc)
+            else:
+                head, tail = _around_trace(
+                    {k: v for k, v in doc.items() if k not in ("crc", "trace")})
+                actual = _spliced_crc(head, trace_text, tail)
             if actual != crc:
                 raise CheckpointCorruptError(
                     "payload does not match its recorded CRC", field="crc",
@@ -234,7 +277,7 @@ class GraphicsCheckpoint:
             raise CheckpointError(
                 f"expected a string, got {type(claim).__name__}",
                 field="claim")
-        return cls(trace_json=json.dumps(trace), tick=tick,
+        return cls(trace_json=trace_text, tick=tick,
                    frame_index=frame_index, rng=rng, job=job,
                    topology=topology, mode=mode, claim=claim)
 
@@ -271,9 +314,8 @@ class GraphicsCheckpoint:
                 f"{len(frames)} recorded frame(s) at frame_index "
                 f"{self.frame_index}")
         trace["frames"] = frames[:-count]
-        from dataclasses import replace as _replace
-        return _replace(self, trace_json=json.dumps(trace),
-                        frame_index=self.frame_index - count)
+        return replace(self, trace_json=canonical_json(trace),
+                       frame_index=self.frame_index - count)
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -294,13 +336,20 @@ def capture(frames: list[Frame], tick: int, frame_index: int,
             job: Optional[str] = None,
             topology: Optional[str] = None,
             mode: Optional[str] = None,
-            claim: Optional[str] = None) -> GraphicsCheckpoint:
-    """Record rendered frames into a checkpoint."""
+            claim: Optional[str] = None,
+            recorder: Optional[TraceRecorder] = None) -> GraphicsCheckpoint:
+    """Record rendered frames into a checkpoint.
+
+    ``recorder`` continues an earlier recording: ``frames`` are appended
+    to it (only they are encoded) and the snapshot covers everything it
+    holds.  Without one, the snapshot covers exactly ``frames``.
+    """
     if mode is not None and mode not in CHECKPOINT_MODES:
         raise CheckpointError(
             f"expected one of {sorted(CHECKPOINT_MODES)}, got {mode!r}",
             field="mode")
-    recorder = TraceRecorder()
+    if recorder is None:
+        recorder = TraceRecorder()
     for frame in frames:
         recorder.record_frame(frame)
     return GraphicsCheckpoint(trace_json=recorder.to_json(), tick=tick,

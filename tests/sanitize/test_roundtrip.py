@@ -59,6 +59,27 @@ class TestVerifyRoundtrip:
         assert excinfo.value.details["field"] == "frame_index"
         assert excinfo.value.tick == 7
 
+    def test_serializer_dropping_the_job_is_caught(self):
+        from repro.soc.checkpoint import _payload_crc
+
+        class DropsJob(GraphicsCheckpoint):
+            """Loses the fleet's ownership token on the way to disk, with
+            a consistent CRC: a resume could no longer tell this job's
+            snapshot from a previous occupant's."""
+
+            def to_json(self):
+                doc = json.loads(super().to_json())
+                del doc["job"]
+                doc["crc"] = _payload_crc(doc)
+                return json.dumps(doc)
+
+        good = take_checkpoint()
+        bad = DropsJob(trace_json=good.trace_json, tick=good.tick,
+                       frame_index=good.frame_index, job="fleet-key")
+        with pytest.raises(CheckpointMismatchViolation) as excinfo:
+            verify_roundtrip(bad, tick=7)
+        assert excinfo.value.details["field"] == "job"
+
     def test_stale_crc_serializer_is_caught(self):
         class StaleCRC(GraphicsCheckpoint):
             """A serializer that mutates the payload after computing the
