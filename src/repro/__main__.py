@@ -561,17 +561,20 @@ def _cmd_fleet_sweep(args) -> int:
 
     Jobs come from ``--jobs specs.json`` (a list of JobSpec objects) or
     are generated as the cross product of ``--models`` x ``--seeds``.
-    Exit 0 when every job ends ``ok`` (and, with ``--expect-cached``,
-    every job was served from the cache); exit 1 otherwise.  Signals get
-    the graceful-shutdown ladder: the first SIGTERM/SIGINT drains
-    (in-flight jobs stop at a checkpoint boundary, queued jobs are
-    cancelled; exit 4), a second aborts (workers SIGKILLed; exit 5).
+    The sweep is an in-process fleet-server run with a fresh journal in
+    ``<workdir>/journal``.  Exit 0 when every job ends ``ok`` (and, with
+    ``--expect-cached``, every job was served from the cache); exit 1
+    otherwise; exit 2 for a bad invocation, including a workdir whose
+    journal a ``fleet serve`` wrote.  Signals get the server's
+    graceful-shutdown ladder: the first SIGTERM/SIGINT drains (in-flight
+    jobs stop at a checkpoint boundary, unfinished jobs are cancelled;
+    exit 4), a second aborts (workers SIGKILLed; exit 5).
     """
     import json
-    import signal as signallib
 
-    from repro.fleet import (BackoffPolicy, FleetConfig, FleetSupervisor,
-                             JobSpec, JobSpecError)
+    from repro.fleet import (BackoffPolicy, FleetConfig, JobSpec,
+                             JobSpecError, SweepWorkdirError, run_sweep)
+    from repro.fleet.server import EXIT_ABORTED, EXIT_DRAINED_PENDING
 
     try:
         if args.jobs:
@@ -613,30 +616,12 @@ def _cmd_fleet_sweep(args) -> int:
         cache_dir=args.cache_dir,
         inject=inject,
     )
-    supervisor = FleetSupervisor(config, args.workdir)
-    supervisor.submit_sweep(specs)
-
-    signals_seen = 0
-
-    def _on_signal(signum, frame) -> None:
-        nonlocal signals_seen
-        signals_seen += 1
-        if signals_seen == 1:
-            supervisor.request_drain()
-        else:
-            supervisor.request_abort()
-
-    previous = {}
-    for signum in (signallib.SIGTERM, signallib.SIGINT):
-        try:
-            previous[signum] = signallib.signal(signum, _on_signal)
-        except (ValueError, OSError):        # non-main thread (tests)
-            pass
     try:
-        report = supervisor.run()
-    finally:
-        for signum, handler in previous.items():
-            signallib.signal(signum, handler)
+        report = run_sweep(specs, config, args.workdir,
+                           install_signals=True)
+    except (SweepWorkdirError, ValueError) as exc:
+        print(f"bad fleet invocation: {exc}")
+        return 2
 
     rows = []
     for record in report.records:
@@ -670,14 +655,14 @@ def _cmd_fleet_sweep(args) -> int:
         with open(args.summary, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"summary written to {args.summary}")
-    if supervisor.aborted:
-        print("fleet sweep ABORTED (second signal); "
-              "checkpoints survive for a resume")
-        return 5
-    if supervisor.draining:
-        print("fleet sweep drained (first signal); "
-              "cancelled jobs resume from their checkpoints")
-        return 4
+    if report.exit_code in (EXIT_ABORTED, EXIT_DRAINED_PENDING):
+        stopped = ("ABORTED (second signal)"
+                   if report.exit_code == EXIT_ABORTED
+                   else "drained (first signal)")
+        print(f"fleet sweep {stopped}; unfinished jobs were cancelled — "
+              f"a rerun serves them from the cache or runs them from "
+              f"scratch")
+        return report.exit_code
     if not report.ok:
         return 1
     if args.expect_cached and report.cached != len(report.records):

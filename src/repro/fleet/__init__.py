@@ -1,24 +1,28 @@
 """Fault-tolerant simulation fleet (DESIGN.md §10, server mode §14).
 
 ``repro.fleet`` turns the single-run simulator into a supervised,
-crash-tolerant service: an asyncio :class:`FleetSupervisor` shards
-benchmark sweeps, chaos seeds and user-submitted configs across a
-multiprocess worker pool, detects crashed and hung workers by heartbeat
-staleness (a monotonic attempt-progress counter, immune to clock jumps),
-requeues them with capped exponential backoff, resumes retried jobs from
-their last :class:`~repro.soc.checkpoint.GraphicsCheckpoint`, and caches
+crash-tolerant service with one job lifecycle,
+:class:`~repro.fleet.server.FleetServer`.  It shards benchmark sweeps,
+chaos seeds and user-submitted configs across a multiprocess worker
+pool, detects crashed and hung workers by heartbeat staleness (a
+monotonic attempt-progress counter, immune to clock jumps), requeues
+them with capped exponential backoff, resumes retried jobs from their
+last :class:`~repro.soc.checkpoint.GraphicsCheckpoint`, and caches
 deterministic results content-addressed on (config hash, seed, code
-version) with gem5-style manifests.  Failures surface as typed outcomes
-with PR 4 triage bundles attached — the chaos loud-death contract
-extended to the process-pool layer.
+version) with gem5-style manifests.  Every scheduling transition is
+appended to a write-ahead job journal (:mod:`repro.fleet.journal`), so
+the job table survives ``kill -9`` and the journal alone proves no
+completed job ran twice.  Failures surface as typed outcomes with triage
+bundles attached — the chaos loud-death contract extended to the
+process-pool layer.
 
-On top of the one-shot supervisor sits the **durable fleet server**
-(:mod:`repro.fleet.server`): a long-lived service whose entire state is
-reconstructible after ``kill -9`` from its write-ahead job journal
-(:mod:`repro.fleet.journal`), with file-drop + Unix-socket intake,
-priority / fair-share / deadline scheduling, and graceful SIGTERM
-drains.  :mod:`repro.fleet.drill` is the server-level chaos drill that
-SIGKILLs the server mid-sweep and asserts byte-identical results.
+The lifecycle runs two ways.  ``fleet serve`` is the long-lived service:
+file-drop + Unix-socket intake, priority / fair-share / deadline
+scheduling, graceful SIGTERM drains, restart from the journal.
+:func:`run_sweep` (``fleet sweep``) is a one-shot in-process server run
+with a fresh journal that drains itself once every job is terminal.
+:mod:`repro.fleet.drill` is the server-level chaos drill that SIGKILLs
+the server mid-sweep and asserts byte-identical results.
 
 Quickstart (one-shot sweep)::
 
@@ -48,10 +52,10 @@ from repro.fleet.manifest import (ManifestError, build_manifest, cache_key,
                                   code_version, config_hash,
                                   validate_manifest)
 from repro.fleet.server import (FleetServer, JobSubmission, ServerConfig,
-                                SubmissionError, journal_status)
+                                SubmissionError, SweepWorkdirError,
+                                journal_status, run_sweep)
 from repro.fleet.supervisor import (BackoffPolicy, FleetConfig, FleetReport,
-                                    FleetSaturated, FleetSupervisor,
-                                    FleetWorkerFailure, run_sweep)
+                                    FleetSaturated, FleetWorkerFailure)
 from repro.fleet.worker import run_job, worker_entry
 
 __all__ = [
@@ -63,7 +67,6 @@ __all__ = [
     "FleetReport",
     "FleetSaturated",
     "FleetServer",
-    "FleetSupervisor",
     "FleetWorkerFailure",
     "HeartbeatMonitor",
     "JOB_OUTCOMES",
@@ -79,6 +82,7 @@ __all__ = [
     "ResultCache",
     "ServerConfig",
     "SubmissionError",
+    "SweepWorkdirError",
     "build_manifest",
     "cache_key",
     "code_version",

@@ -1,8 +1,11 @@
-"""The durable fleet server: a crash-recoverable, long-lived job service.
+"""The fleet server: the one job lifecycle, durable across ``kill -9``.
 
-:class:`FleetServer` wraps the one-shot :class:`~repro.fleet.supervisor.
-FleetSupervisor` pool in a service whose entire state is reconstructible
-after ``kill -9``:
+:class:`FleetServer` shards jobs across a multiprocess worker pool and
+drives each to exactly one typed terminal outcome.  It is the only job
+lifecycle in :mod:`repro.fleet`: ``fleet serve`` runs it as a long-lived
+service, and a one-shot sweep (:func:`run_sweep`, ``fleet sweep``) runs
+it in process with a fresh journal, no intake, and ``expect`` set to the
+sweep's size.  Either way:
 
 * every scheduling transition — submit, claim, attempt end, terminal
   outcome, cancel — is appended to the write-ahead
@@ -14,6 +17,10 @@ after ``kill -9``:
   :class:`~repro.sanitize.violations.JournalConsistencyViolation` on a
   ``claim`` after ``done``, so the no-rework guarantee is checkable from
   the journal alone);
+* worker attempts are supervised by heartbeat deadline; crashed and hung
+  attempts retry with capped exponential backoff from their last
+  checkpoint, deterministic failures are terminal on the first attempt,
+  and the cache is consulted on every claim;
 * intake is a **file-drop spool** (drop a JSON spec into
   ``<workdir>/spool/``) and a **Unix socket** (line-delimited JSON ops:
   submit / status / drain / cancel / ping).  Submission is idempotent —
@@ -33,35 +40,47 @@ after ``kill -9``:
   server to **cache-only serving** (degraded mode) instead of burning
   retries.
 
-Exit codes (pinned; the drill and CI assert them):
+Exit codes (pinned; the drill, ``fleet sweep`` and CI assert them):
 
 ====  ====================================================================
  0    drained cleanly, no pending jobs left
- 4    drained cleanly, pending jobs remain (journal resumes them)
+ 4    drained cleanly, pending jobs remain (the journal resumes them; a
+      sweep reports them ``cancelled``)
  5    aborted (second signal); no clean-shutdown record, next start
-      crash-recovers
+      crash-recovers (a sweep reports unfinished jobs ``cancelled``)
 ====  ====================================================================
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import signal
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.fleet.cache import ResultCache
-from repro.fleet.job import (RETRYABLE, JobRecord, JobSpec, JobSpecError)
-from repro.fleet.journal import JobJournal, JournalReplay, ReplayedJob
+from repro.fleet.heartbeat import HeartbeatMonitor
+from repro.fleet.job import (RETRYABLE, JobAttempt, JobRecord, JobSpec,
+                             JobSpecError)
+from repro.fleet.journal import (JobJournal, JournalReplay, ReplayedJob,
+                                 replay_journal)
 from repro.fleet.manifest import (build_manifest, cache_key, payload_bytes)
-from repro.fleet.supervisor import (FleetConfig, FleetSaturated,
-                                    FleetSupervisor, FleetWorkerFailure,
-                                    _job_dirname)
-from repro.fleet.worker import CLAIM_FILE, PREEMPT_FLAG
+from repro.fleet.supervisor import (MAX_PREEMPTIONS, FleetConfig,
+                                    FleetReport, FleetSaturated,
+                                    FleetWorkerFailure, arm_controls,
+                                    checkpoint_frame, clear_file,
+                                    job_dirname, process_exitcode_desc,
+                                    read_result, spawn_context,
+                                    write_attempt_bundle)
+from repro.fleet.worker import (CHECKPOINT_FILE, CLAIM_FILE, HEARTBEAT_FILE,
+                                PREEMPT_FLAG, RESULT_FILE, worker_entry)
+from repro.sanitize.violations import JournalConsistencyViolation
 
 SERVER_STATUS_SCHEMA = "repro-fleet-server-status/1"
 
@@ -78,6 +97,16 @@ EXIT_ABORTED = 5
 
 class SubmissionError(ValueError):
     """A submission document failed validation (quarantined, not run)."""
+
+
+class SweepWorkdirError(RuntimeError):
+    """A sweep refused a workdir whose journal it did not write.
+
+    A sweep starts from an empty journal, so it discards the journal a
+    previous sweep left in a reused workdir — but a journal that a
+    ``fleet serve`` incarnation wrote (or one too damaged to tell) is a
+    service's durable state and is never truncated.
+    """
 
 
 @dataclass(frozen=True)
@@ -187,22 +216,58 @@ def _payload_sha(payload: Optional[dict]) -> Optional[str]:
     return hashlib.sha256(payload_bytes(payload)).hexdigest()[:16]
 
 
-class FleetServer:
-    """A long-lived fleet service; all state lives in the journal."""
+def _reset_sweep_journal(root: str) -> None:
+    """Give a sweep an empty journal; refuse any journal not a sweep's."""
+    if not os.path.isdir(root):
+        return
+    try:
+        replay = replay_journal(root)
+    except JournalConsistencyViolation as exc:
+        raise SweepWorkdirError(
+            f"{root} holds a damaged journal ({exc}); refusing to "
+            f"discard it") from exc
+    # A sweep's journal is one incarnation whose first record (its
+    # server-start) is marked ``mode: sweep``.
+    first = replay.records[0]["data"] if replay.records else {}
+    if replay.records and (replay.incarnations != 1
+                           or first.get("mode") != "sweep"):
+        raise SweepWorkdirError(
+            f"{root} holds a `fleet serve` journal; a sweep never "
+            f"truncates a server's state (use another --workdir)")
+    shutil.rmtree(root)
 
-    def __init__(self, config: ServerConfig, workdir: str) -> None:
+
+class FleetServer:
+    """The fleet's job lifecycle; all state lives in the journal.
+
+    ``sweep=True`` makes it a one-shot run: the journal starts empty
+    (see :func:`_reset_sweep_journal`), there is no spool or socket
+    intake, and jobs still pending when the run stops are journaled as
+    ``cancelled`` so the journal folds to the sweep's report.
+    """
+
+    def __init__(self, config: ServerConfig, workdir: str, *,
+                 sweep: bool = False) -> None:
         self.config = config
         self.workdir = workdir
+        self.sweep = sweep
         os.makedirs(workdir, exist_ok=True)
-        for sub in (SPOOL_DIR,
-                    os.path.join(SPOOL_DIR, QUARANTINE_DIR),
-                    os.path.join(SPOOL_DIR, ACK_DIR)):
-            os.makedirs(os.path.join(workdir, sub), exist_ok=True)
-        self.sup = FleetSupervisor(config.fleet, workdir)
-        self.cache: Optional[ResultCache] = self.sup.cache
+        if not sweep:
+            for sub in (SPOOL_DIR,
+                        os.path.join(SPOOL_DIR, QUARANTINE_DIR),
+                        os.path.join(SPOOL_DIR, ACK_DIR)):
+                os.makedirs(os.path.join(workdir, sub), exist_ok=True)
+        self.cache = (ResultCache(config.fleet.cache_dir)
+                      if config.fleet.cache_dir else None)
+        self.executed = 0                # worker processes spawned
+        self._ctx = spawn_context()
+        self._draining = False           # first signal: drain
+        self._aborting = False           # second signal: abort
+        journal_root = os.path.join(workdir, JOURNAL_DIR)
+        if sweep:
+            _reset_sweep_journal(journal_root)
         self.journal, self.replay = JobJournal.open(
-            os.path.join(workdir, JOURNAL_DIR),
-            segment_records=config.segment_records)
+            journal_root, segment_records=config.segment_records)
         self.server_id = (f"srv-{os.getpid():x}"
                          f"-i{self.replay.incarnations + 1}")
         self._jobs: dict = {}            # name -> _ServerJob
@@ -215,13 +280,15 @@ class FleetServer:
         self._terminal = 0
         self._infra_failures = 0         # consecutive, across the pool
         self.degraded = False
-        self._wake = asyncio.Event()
+        self._wake = asyncio.Event()     # work became ready
+        self._changed = asyncio.Event()  # a job or the drain state moved
         self._timers: set = set()        # backoff / deadline tasks
         self._signals = 0
         self._started = time.monotonic()
         self.journal.append(
             "server-start", server=self.server_id, pid=os.getpid(),
-            workdir=os.path.abspath(workdir))
+            workdir=os.path.abspath(workdir),
+            mode="sweep" if sweep else "serve")
         self._recover(self.replay)
 
     # -- recovery -----------------------------------------------------------
@@ -279,7 +346,7 @@ class FleetServer:
                 return True
         if job.prior_claims > 0:
             jobdir = self._jobdir(job)
-            result = self.sup._read_result(jobdir)
+            result = read_result(jobdir)
             if result and result.get("outcome") == "ok":
                 payload = result.get("payload")
                 identity = record.spec.identity()
@@ -370,10 +437,10 @@ class FleetServer:
         return job
 
     def _jobdir(self, job: _ServerJob) -> str:
-        return os.path.join(self.workdir, "jobs", _job_dirname(job.name))
+        return os.path.join(self.workdir, "jobs", job_dirname(job.name))
 
     async def _slot(self) -> None:
-        while not self.sup.draining:
+        while not self._draining:
             job = self._pick()
             if job is None:
                 self._wake.clear()
@@ -402,9 +469,10 @@ class FleetServer:
                 bundle=True)
             return
         if self.cache is not None:
-            # Unlike the one-shot supervisor, the server consults the
-            # cache on *every* claim — this is what lets a restarted
-            # incarnation serve work completed before the kill.
+            # The cache is consulted on *every* claim, not just the
+            # first: a restarted incarnation serves work completed before
+            # the kill, and a retry whose identical sibling finished in
+            # the meantime is not re-run.
             cached = self.cache.lookup(record.key)
             if cached is not None:
                 self._finish(job, "ok", cache_hit=True,
@@ -441,12 +509,16 @@ class FleetServer:
         job.running = True
         self._running += 1
         try:
-            fresh = False if (job.recovered and job.prior_claims > 0) \
-                else None
-            attempt = await self.sup._run_attempt(record, fresh=fresh)
+            # A job's first attempt starts from scratch — unless a previous
+            # incarnation claimed it, whose checkpoint is exactly what a
+            # restart must resume from.
+            fresh = (job.prior_claims == 0 and not record.attempts
+                     and record.preemptions == 0)
+            attempt = await self._run_attempt(record, jobdir, fresh)
         finally:
             job.running = False
             self._running -= 1
+            self._changed.set()
             if watchdog is not None:
                 watchdog.cancel()
             try:
@@ -479,13 +551,18 @@ class FleetServer:
                     f"at a checkpoint boundary ({attempt.detail})",
                     bundle=True)
                 return
-            if self.sup.draining:
+            if self._draining:
                 return                   # stays pending; journal resumes it
+            if record.preemptions >= MAX_PREEMPTIONS:
+                self._finish(job, "failed",
+                             detail=f"preempted {record.preemptions} times "
+                                    f"without finishing")
+                return
             self._ready.append(job)
             self._wake.set()
             return
         if attempt.outcome in RETRYABLE:
-            if self.sup.draining:
+            if self._draining:
                 return                   # stays pending for the restart
             job.failures += 1
             self._infra_failures += 1
@@ -520,6 +597,88 @@ class FleetServer:
         except OSError:
             pass
 
+    # -- one worker process -------------------------------------------------
+
+    async def _run_attempt(self, record: JobRecord, jobdir: str,
+                           fresh: bool) -> JobAttempt:
+        """Spawn one worker attempt and supervise it to a verdict."""
+        fleet = self.config.fleet
+        arm_controls(fleet.inject, record, jobdir)
+        if fresh:
+            # A checkpoint or heartbeat left behind by a previous run in
+            # a reused workdir belongs to a different job — resuming it
+            # would publish a wrong payload under this job's cache key.
+            clear_file(os.path.join(jobdir, CHECKPOINT_FILE))
+            clear_file(os.path.join(jobdir, HEARTBEAT_FILE))
+        clear_file(os.path.join(jobdir, RESULT_FILE))
+        clear_file(os.path.join(jobdir, PREEMPT_FLAG))
+
+        backoff_delay = record.next_backoff
+        record.next_backoff = 0.0
+        resumed_from = checkpoint_frame(jobdir)
+
+        process = self._ctx.Process(
+            target=worker_entry,
+            args=(record.spec.to_dict(), jobdir, fleet.budget_events),
+            daemon=True)
+        process.start()
+        self.executed += 1
+        monitor = HeartbeatMonitor(os.path.join(jobdir, HEARTBEAT_FILE),
+                                   timeout=fleet.heartbeat_timeout)
+        preempt_flagged = False
+        hung = False
+        stale_age = 0.0
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        while process.is_alive():
+            await asyncio.sleep(fleet.poll_interval)
+            monitor.poll()
+            if self._aborting:
+                process.kill()               # second signal: stop now
+                break
+            over_deadline = (fleet.preempt_after is not None
+                             and loop.time() - started > fleet.preempt_after)
+            if (self._draining or over_deadline) and not preempt_flagged:
+                with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
+                    flag.write("preempt requested by supervisor\n")
+                preempt_flagged = True
+            if monitor.stale():
+                process.kill()               # SIGKILL; heartbeats ceased
+                hung = True
+                stale_age = monitor.age()
+                break
+        process.join()                       # dead or just killed: quick
+        exitcode_desc = process_exitcode_desc(process.exitcode)
+        process.close()
+
+        # A published result supersedes the staleness verdict: a worker
+        # that finished just as the monitor killed it still did the work,
+        # and the result file is this attempt's (cleared before spawn).
+        result = read_result(jobdir)
+        if result is not None:
+            return JobAttempt(
+                outcome=result.get("outcome", "error"),
+                detail=result.get("detail", ""),
+                resumed_from=result.get("resumed_from", 0),
+                backoff_delay=backoff_delay,
+                bundle=result.get("bundle"),
+                payload_doc=result.get("payload"))
+
+        # No result: the process died (or we killed it for hanging).
+        kind = "hung" if hung else "crashed"
+        failure = FleetWorkerFailure(
+            kind,
+            f"no heartbeat for {stale_age:.1f}s "
+            f"(timeout {fleet.heartbeat_timeout}s); killed"
+            if hung else
+            f"worker exited {exitcode_desc} without a result "
+            f"(resume point: frame {resumed_from})",
+            last_heartbeat=monitor.last)
+        bundle = write_attempt_bundle(record, jobdir, failure)
+        return JobAttempt(outcome=kind, detail=str(failure),
+                          resumed_from=resumed_from,
+                          backoff_delay=backoff_delay, bundle=bundle)
+
     # -- terminal transitions -----------------------------------------------
 
     def _publish(self, job: _ServerJob, payload: Optional[dict]) -> None:
@@ -532,6 +691,8 @@ class FleetServer:
                 provenance={
                     "attempts": len(record.attempts),
                     "preemptions": record.preemptions,
+                    "resumed_from": (record.attempts[-1].resumed_from
+                                     if record.attempts else 0),
                     "server": self.server_id,
                 })
             self.cache.store(record.key, manifest, payload)
@@ -551,7 +712,7 @@ class FleetServer:
         if payload is not None:
             record.payload = payload
         self._terminal += 1
-        self._wake.set()
+        self._changed.set()
 
     def _cancel(self, job: _ServerJob, reason: str, *,
                 bundle: bool = False) -> None:
@@ -559,14 +720,14 @@ class FleetServer:
         bundle_path = None
         if bundle:
             failure = FleetWorkerFailure("deadline-cancel", reason)
-            bundle_path = self.sup._write_attempt_bundle(
+            bundle_path = write_attempt_bundle(
                 record, self._jobdir(job), failure)
         self.journal.append("cancel", name=job.name, reason=reason,
                             bundle=bundle_path)
         record.outcome = "cancelled"
         record.cancel_reason = reason
         self._terminal += 1
-        self._wake.set()
+        self._changed.set()
 
     # -- intake: file-drop spool --------------------------------------------
 
@@ -647,7 +808,7 @@ class FleetServer:
             pass
 
     async def _spool_loop(self) -> None:
-        while not self.sup.draining:
+        while not self._draining:
             self.poll_spool()
             await asyncio.sleep(self.config.spool_poll)
 
@@ -743,15 +904,15 @@ class FleetServer:
             "schema": SERVER_STATUS_SCHEMA,
             "ok": True,
             "server": self.server_id,
-            "ready": not self.sup.draining and not self.degraded,
-            "draining": self.sup.draining,
+            "ready": not self._draining and not self.degraded,
+            "draining": self._draining,
             "degraded": self.degraded,
             "uptime": round(time.monotonic() - self._started, 3),
             "jobs": counts,
             "pending": pending,
             "running": self._running,
             "terminal": self._terminal,
-            "executed": self.sup.executed,
+            "executed": self.executed,
             "expect": self.config.expect,
             "cache": self.cache.stats() if self.cache else {},
             "journal": {"root": self.journal.root,
@@ -761,16 +922,25 @@ class FleetServer:
     # -- lifecycle ----------------------------------------------------------
 
     def request_drain(self) -> None:
-        """First signal: stop intake, preempt in-flight, shut down clean."""
-        if not self.sup.draining:
+        """First signal: stop intake, preempt in-flight, shut down clean.
+
+        Queued jobs stay unclaimed; running attempts get a preempt flag
+        so they stop at the next checkpoint boundary (or simply finish).
+        Safe to call from a signal handler — it only sets flags and
+        events the async loops wait on.
+        """
+        if not self._draining:
             self.journal.append("drain", server=self.server_id)
-        self.sup.request_drain()
+        self._draining = True
         self._wake.set()
+        self._changed.set()
 
     def request_abort(self) -> None:
         """Second signal: SIGKILL workers, exit without a clean record."""
-        self.sup.request_abort()
+        self._draining = True
+        self._aborting = True
         self._wake.set()
+        self._changed.set()
 
     def _on_signal(self) -> None:
         self._signals += 1
@@ -802,20 +972,30 @@ class FleetServer:
                 pass
             socket_server = await asyncio.start_unix_server(
                 self._handle_client, path=self.socket_path)
-        spool_task = loop.create_task(self._spool_loop())
+        spool_task = (None if self.sweep
+                      else loop.create_task(self._spool_loop()))
         slots = [loop.create_task(self._slot())
                  for _ in range(self.config.fleet.workers)]
         try:
             while True:
-                await asyncio.sleep(self.config.fleet.poll_interval)
                 if self.config.expect is not None \
                         and self._terminal >= self.config.expect \
-                        and not self.sup.draining:
+                        and not self._draining:
                     self.request_drain()
-                if self.sup.draining and self._running == 0:
+                if self._draining and self._running == 0:
                     break
+                # Terminal transitions, attempt ends and drains set the
+                # event; the timeout only bounds how stale a check gets.
+                self._changed.clear()
+                try:
+                    await asyncio.wait_for(
+                        self._changed.wait(),
+                        timeout=self.config.fleet.poll_interval)
+                except asyncio.TimeoutError:
+                    pass
         finally:
-            spool_task.cancel()
+            if spool_task is not None:
+                spool_task.cancel()
             for timer in list(self._timers):
                 timer.cancel()
             if socket_server is not None:
@@ -826,16 +1006,25 @@ class FleetServer:
                 except OSError:
                     pass
             await asyncio.gather(*slots, return_exceptions=True)
-        pending = sum(1 for job in self._jobs.values() if not job.terminal)
-        if self.sup.aborted:
-            # No clean-shutdown record on purpose: the next incarnation
-            # must treat this exactly like a crash and recover.
-            self.journal.close()
-            return EXIT_ABORTED
-        self.journal.append("clean-shutdown", server=self.server_id,
-                            terminal=self._terminal, pending=pending)
+        pending = [job for job in self._jobs.values() if not job.terminal]
+        code = (EXIT_ABORTED if self._aborting
+                else EXIT_DRAINED_PENDING if pending else EXIT_DRAINED)
+        if self.sweep:
+            # A sweep's journal is never resumed: what it leaves
+            # unfinished is cancelled, so the journal folds to its report.
+            reason = ("aborted (second signal) before finishing"
+                      if self._aborting else "drained before finishing")
+            for job in pending:
+                self._cancel(job, reason)
+            pending = []
+        if not self._aborting:
+            # An abort writes no clean-shutdown record on purpose: the
+            # next incarnation must treat it exactly like a crash.
+            self.journal.append("clean-shutdown", server=self.server_id,
+                                terminal=self._terminal,
+                                pending=len(pending))
         self.journal.close()
-        return EXIT_DRAINED if pending == 0 else EXIT_DRAINED_PENDING
+        return code
 
     def serve(self, *, install_signals: bool = True) -> int:
         return asyncio.run(
@@ -844,10 +1033,53 @@ class FleetServer:
 
 def journal_status(workdir: str) -> dict:
     """Offline status from the journal alone (server not running)."""
-    from repro.fleet.journal import replay_journal
     replay = replay_journal(os.path.join(workdir, JOURNAL_DIR))
     doc = replay.summary()
     doc["schema"] = SERVER_STATUS_SCHEMA
     doc["ok"] = True
     doc["offline"] = True
     return doc
+
+
+def run_sweep(specs, config: Optional[FleetConfig] = None,
+              workdir: str = "fleet-work", *,
+              install_signals: bool = False) -> FleetReport:
+    """Drive ``specs`` to terminal outcomes as one in-process server run.
+
+    The run journals to a fresh ``<workdir>/journal`` (refusing, with
+    :class:`SweepWorkdirError`, to replace one ``fleet serve`` wrote) and
+    drains itself once every job is terminal.  The report holds one
+    record per spec, in order: a spec the queue limit refused is
+    ``shed``, a spec whose cache key an earlier spec holds shares that
+    job's outcome, and jobs a drain or abort stopped are ``cancelled``.
+    ``install_signals`` arms the drain (first SIGTERM/SIGINT) and abort
+    (second) ladder; the report's ``exit_code`` says which happened.
+    """
+    specs = list(specs)
+    names: set = set()
+    for spec in specs:
+        if spec.name in names:
+            raise ValueError(f"duplicate job name {spec.name!r}")
+        names.add(spec.name)
+    if not specs:
+        return FleetReport()
+    server = FleetServer(
+        ServerConfig(fleet=config or FleetConfig(), enable_socket=False),
+        workdir, sweep=True)
+    jobs = []
+    for spec in specs:
+        try:
+            name = server.submit(JobSubmission(spec=spec),
+                                 source="sweep")["name"]
+        except FleetSaturated:
+            name = spec.name             # journaled and recorded as shed
+        jobs.append(server._jobs[name])
+    server.config.expect = len(server._jobs)
+    code = server.serve(install_signals=install_signals)
+    records = [job.record if job.name == spec.name
+               else dataclasses.replace(job.record, spec=spec)
+               for spec, job in zip(specs, jobs)]
+    return FleetReport(
+        records=records, executed=server.executed,
+        cache_stats=server.cache.stats() if server.cache else {},
+        exit_code=code)

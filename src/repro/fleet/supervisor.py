@@ -1,37 +1,25 @@
-"""The fleet supervisor: asyncio scheduling over a multiprocess pool.
+"""Fleet policy and the supervisor side of the worker protocol.
 
-One :class:`FleetSupervisor` owns a bounded job queue, N worker slots,
-the deterministic result cache, and the retry ledger.  Robustness is the
-headline contract (ISSUE 6):
+The one job lifecycle lives in :class:`~repro.fleet.server.FleetServer`;
+a one-shot sweep (:func:`~repro.fleet.server.run_sweep`) is a server run
+with a fresh journal.  This module holds what that lifecycle is
+configured and reported with, and the file helpers it supervises worker
+processes through:
 
-* **Crash detection** — a worker process that dies without publishing a
-  result (SIGKILL, OOM) is requeued with capped exponential backoff and
-  resumes from its last complete checkpoint, not tick 0.
-* **Hang detection** — heartbeats (frame-boundary file writes) feed a
-  wall-clock deadline in the watchdog idiom; a stale worker is killed
-  and requeued the same way.
-* **Typed deterministic failures** — ``violation`` / ``detected`` /
-  ``error`` outcomes are terminal on the first attempt (the simulation
-  is deterministic; retrying reproduces the failure) and carry the
-  worker's triage bundle as the job artifact.
-* **Checkpoint preemption** — with a deadline configured, long attempts
-  are asked to stop at the next checkpoint boundary
-  (:class:`~repro.health.recovery.PreemptionRequested`) and requeued for
-  resume; preemption costs no attempt and no backoff.
-* **Load shedding** — submissions beyond the bounded queue fail with a
-  typed :class:`FleetSaturated`, never an unbounded pile-up; a sweep
-  records the job as ``shed``.
-* **Loud death** — the supervisor itself never lets a job vanish: every
-  submitted spec ends in exactly one terminal outcome in the report.
-
-Results land in the content-addressed cache keyed on (config hash, seed,
-code version); a repeated sweep is served entirely from cache with zero
-worker processes spawned.
+* :class:`FleetConfig` / :class:`BackoffPolicy` — pool size, bounded
+  queue, crash/hang retry budget with capped exponential backoff,
+  heartbeat deadline, preemption deadline, fault injection;
+* :class:`FleetSaturated` — the typed load-shedding rejection;
+* :class:`FleetWorkerFailure` — what the supervisor observed of a worker
+  that died (or hung) without publishing a result, written into the
+  attempt's triage bundle;
+* :class:`FleetReport` — one sweep's records in submission order;
+* the job-directory helpers: injected-fault controls, the resume
+  checkpoint's frame, the published ``result.json``, crash bundles.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import os
@@ -39,14 +27,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.fleet.cache import ResultCache
-from repro.fleet.heartbeat import HeartbeatMonitor
-from repro.fleet.job import RETRYABLE, JobAttempt, JobRecord, JobSpec
-from repro.fleet.manifest import build_manifest, cache_key
+from repro.fleet.job import JobRecord
 from repro.fleet.worker import (CHECKPOINT_FILE, CONTROL_FILE,
-                                DEFAULT_BUDGET_EVENTS, HEARTBEAT_FILE,
-                                PREEMPT_FLAG, RESULT_FILE, TRIAGE_DIR,
-                                worker_entry)
+                                DEFAULT_BUDGET_EVENTS, RESULT_FILE,
+                                TRIAGE_DIR)
 
 #: Hard ceiling on cooperative preemptions per job.  Every preemption
 #: advances the checkpoint by at least one frame, so this is unreachable
@@ -109,14 +93,14 @@ class BackoffPolicy:
 
 @dataclass
 class FleetConfig:
-    """Supervisor knobs."""
+    """Worker-pool knobs shared by sweeps and the server."""
 
     workers: int = 2
     queue_limit: int = 1024          # bounded submissions (load shedding)
     max_attempts: int = 3            # crash/hang retries per job
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     heartbeat_timeout: float = 60.0  # wall seconds without a beat = hung
-    poll_interval: float = 0.05      # supervisor monitor cadence (seconds)
+    poll_interval: float = 0.05      # monitor / idle-wait cadence (seconds)
     preempt_after: Optional[float] = None   # wall deadline per attempt
     budget_events: int = DEFAULT_BUDGET_EVENTS
     cache_dir: Optional[str] = None
@@ -143,6 +127,7 @@ class FleetReport:
     records: list[JobRecord] = field(default_factory=list)
     executed: int = 0                # worker processes spawned
     cache_stats: dict = field(default_factory=dict)
+    exit_code: int = 0               # the server's 0 / 4 / 5 drain ladder
 
     @property
     def ok(self) -> bool:
@@ -170,370 +155,82 @@ class FleetReport:
         }
 
 
-def _job_dirname(name: str) -> str:
+def job_dirname(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-def _spawn_context():
+def spawn_context():
     """Prefer fork (fast, Linux); fall back to spawn elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
 
 
-class FleetSupervisor:
-    """Shards a sweep across workers; survives the failures it will see."""
+def arm_controls(inject: dict, record: JobRecord, jobdir: str) -> None:
+    """Install (or retire) this attempt's injected-fault control."""
+    controls = inject.get(record.spec.name, [])
+    index = len(record.attempts) + record.preemptions
+    path = os.path.join(jobdir, CONTROL_FILE)
+    if index < len(controls) and controls[index]:
+        with open(path, "w") as handle:
+            json.dump(controls[index], handle)
+    else:
+        clear_file(path)
 
-    def __init__(self, config: FleetConfig, workdir: str) -> None:
-        self.config = config
-        self.workdir = workdir
-        os.makedirs(workdir, exist_ok=True)
-        self.cache = ResultCache(config.cache_dir) \
-            if config.cache_dir else None
-        self.records: list[JobRecord] = []
-        self.executed = 0
-        self._pending = 0                    # submitted, not yet terminal
-        self._submitted: list[JobRecord] = []
-        self._requeues: set = set()          # live backoff timers
-        self._ctx = _spawn_context()
-        self._draining = False               # first signal: drain
-        self._aborting = False               # second signal: abort
 
-    # -- graceful shutdown (SIGTERM/SIGINT ladder) --------------------------
+def clear_file(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
-    @property
-    def aborted(self) -> bool:
-        return self._aborting
+def checkpoint_frame(jobdir: str) -> int:
+    """The frame a resumed attempt starts from (0 = scratch)."""
+    from repro.health import load_checkpoint
+    from repro.soc.checkpoint import CheckpointError
+    try:
+        return load_checkpoint(
+            os.path.join(jobdir, CHECKPOINT_FILE)).frame_index
+    except (CheckpointError, OSError):
+        return 0
 
-    def request_drain(self) -> None:
-        """First-signal behavior: stop starting work, finish in flight.
 
-        Queued jobs finalize as ``cancelled`` without running; running
-        attempts get a preempt flag so they stop at the next checkpoint
-        boundary (or simply finish).  Safe to call from a signal handler —
-        it only sets a flag the async loops poll.
-        """
-        self._draining = True
+def write_attempt_bundle(record: JobRecord, jobdir: str,
+                         failure: FleetWorkerFailure) -> Optional[str]:
+    """Triage bundle for an attempt that died without reporting."""
+    from repro.health import load_checkpoint
+    from repro.sanitize.triage import write_bundle
+    from repro.soc.checkpoint import CheckpointError
+    checkpoint = None
+    try:
+        checkpoint = load_checkpoint(
+            os.path.join(jobdir, CHECKPOINT_FILE))
+    except (CheckpointError, OSError):
+        pass
+    try:
+        return write_bundle(
+            os.path.join(jobdir, TRIAGE_DIR),
+            seed=record.spec.seed, error=failure,
+            command=f"python -m repro fleet --seeds {record.spec.seed} "
+                    f"--models {record.spec.model} "
+                    f"--frames {record.spec.frames}",
+            config={"job": record.spec.to_dict(),
+                    "attempt": len(record.attempts) + 1,
+                    "supervisor": failure.details},
+            checkpoint=checkpoint)
+    except OSError:
+        return None
 
-    def request_abort(self) -> None:
-        """Second-signal behavior: SIGKILL running workers, stop now.
 
-        Killed attempts finalize as ``cancelled`` (their checkpoints
-        survive on disk for a later resume), never as retried failures.
-        """
-        self._draining = True
-        self._aborting = True
-
-    # -- submission (bounded; sheds under load) -----------------------------
-
-    def submit(self, spec: JobSpec) -> JobRecord:
-        """Accept a job, or raise :class:`FleetSaturated`.
-
-        Duplicate names are rejected (the job directory is the per-job
-        namespace for checkpoints and results).
-        """
-        if any(r.spec.name == spec.name for r in self.records):
-            raise ValueError(f"duplicate job name {spec.name!r}")
-        record = JobRecord(spec=spec)
-        self.records.append(record)
-        if self._pending >= self.config.queue_limit:
-            record.outcome = "shed"
-            raise FleetSaturated(self._pending, self.config.queue_limit)
-        self._pending += 1
-        self._submitted.append(record)
-        return record
-
-    def submit_sweep(self, specs) -> None:
-        """Submit many; shed jobs are recorded, not raised."""
-        for spec in specs:
-            try:
-                self.submit(spec)
-            except FleetSaturated:
-                pass                         # recorded as outcome "shed"
-
-    # -- the run ------------------------------------------------------------
-
-    def run(self) -> FleetReport:
-        """Drive every submitted job to a terminal outcome (blocking)."""
-        return asyncio.run(self.run_async())
-
-    async def run_async(self) -> FleetReport:
-        queue: asyncio.Queue = asyncio.Queue()
-        for record in self._submitted:
-            record.key = cache_key(record.spec)
-            queue.put_nowait(record)
-        self._submitted = []
-        done = asyncio.Event()
-        if self._pending == 0:
-            done.set()
-
-        async def slot() -> None:
-            while not done.is_set():
-                get = asyncio.create_task(queue.get())
-                finished = asyncio.create_task(done.wait())
-                waited, _ = await asyncio.wait(
-                    {get, finished}, return_when=asyncio.FIRST_COMPLETED)
-                if get not in waited:
-                    get.cancel()
-                    return
-                finished.cancel()
-                record = get.result()
-                if self._draining:
-                    # Drained before a worker ever started this pass:
-                    # policy stop, not failure (checkpoints, if any,
-                    # survive for a later resume).
-                    record.outcome = "cancelled"
-                    record.cancel_reason = (record.cancel_reason
-                                            or "drained before running")
-                else:
-                    await self._drive(record, queue)
-                if record.outcome != "pending":
-                    self._pending -= 1
-                    if self._pending == 0:
-                        done.set()
-
-        await asyncio.gather(
-            *(slot() for _ in range(self.config.workers)))
-        report = FleetReport(
-            records=self.records, executed=self.executed,
-            cache_stats=self.cache.stats() if self.cache else {})
-        return report
-
-    # -- one scheduling step for one job ------------------------------------
-
-    async def _drive(self, record: JobRecord, queue: asyncio.Queue) -> None:
-        """Run one attempt (or serve from cache); requeue or finalize."""
-        if self.cache is not None and not record.attempts \
-                and record.preemptions == 0:
-            cached = self.cache.lookup(record.key)
-            if cached is not None:
-                record.outcome = "ok"
-                record.cache_hit = True
-                record.payload = cached.payload
-                return
-
-        attempt = await self._run_attempt(record)
-        record.attempts.append(attempt)
-
-        if attempt.outcome == "ok":
-            record.outcome = "ok"
-            record.payload = attempt.payload_doc
-            if self.cache is not None:
-                # The job already succeeded: a cache publish failure
-                # (disk full, permissions) is recorded, never allowed to
-                # kill the slot and strand the rest of the sweep.
-                try:
-                    manifest = build_manifest(
-                        record.spec, record.key, outcome="ok",
-                        provenance={
-                            "attempts": len(record.attempts),
-                            "preemptions": record.preemptions,
-                            "resumed_from": attempt.resumed_from,
-                        })
-                    self.cache.store(record.key, manifest,
-                                     attempt.payload_doc)
-                except OSError as exc:
-                    record.cache_error = f"{type(exc).__name__}: {exc}"
-            return
-        if attempt.outcome == "preempted":
-            record.preemptions += 1
-            record.attempts.pop()            # cooperative, not a failure
-            if self._draining:
-                record.outcome = "cancelled"
-                record.cancel_reason = (
-                    "drained: stopped at a checkpoint boundary "
-                    f"({attempt.detail})")
-                return
-            if record.preemptions >= MAX_PREEMPTIONS:
-                record.outcome = "failed"
-                return
-            queue.put_nowait(record)         # resume immediately
-            return
-        if attempt.outcome in RETRYABLE:
-            if self._draining:
-                record.outcome = "cancelled"
-                record.cancel_reason = (
-                    "aborted by supervisor (worker killed)"
-                    if self._aborting else
-                    "drained: retryable failure not retried")
-                return
-            failures = sum(1 for a in record.attempts
-                           if a.outcome in RETRYABLE)
-            if failures < self.config.max_attempts:
-                delay = self.config.backoff.delay_for(failures - 1)
-                record.next_backoff = delay
-
-                async def requeue_later() -> None:
-                    await asyncio.sleep(delay)
-                    queue.put_nowait(record)
-
-                task = asyncio.get_running_loop().create_task(
-                    requeue_later())
-                self._requeues.add(task)
-                task.add_done_callback(self._requeues.discard)
-                return
-            record.outcome = "failed"
-            return
-        # violation | detected | error: deterministic, terminal.
-        record.outcome = attempt.outcome
-
-    # -- one worker process -------------------------------------------------
-
-    async def _run_attempt(self, record: JobRecord,
-                           fresh: Optional[bool] = None) -> JobAttempt:
-        spec = record.spec
-        jobdir = os.path.join(self.workdir, "jobs",
-                              _job_dirname(spec.name))
-        os.makedirs(jobdir, exist_ok=True)
-        self._arm_controls(record, jobdir)
-        if fresh is None:
-            fresh = not record.attempts and record.preemptions == 0
-        if fresh:
-            # First attempt: a checkpoint or heartbeat left behind by a
-            # previous sweep in a reused workdir belongs to a different
-            # job — resuming it would publish a wrong payload under this
-            # job's cache key.  The fleet server passes ``fresh=False``
-            # for journal-recovered jobs, whose checkpoints are exactly
-            # what a restart must resume from.
-            self._clear(os.path.join(jobdir, CHECKPOINT_FILE))
-            self._clear(os.path.join(jobdir, HEARTBEAT_FILE))
-        self._clear(os.path.join(jobdir, RESULT_FILE))
-        self._clear(os.path.join(jobdir, PREEMPT_FLAG))
-
-        backoff_delay = getattr(record, "next_backoff", 0.0)
-        record.next_backoff = 0.0
-        resumed_from = self._checkpoint_frame(jobdir)
-
-        process = self._ctx.Process(
-            target=worker_entry,
-            args=(spec.to_dict(), jobdir, self.config.budget_events),
-            daemon=True)
-        process.start()
-        self.executed += 1
-        monitor = HeartbeatMonitor(os.path.join(jobdir, HEARTBEAT_FILE),
-                                   timeout=self.config.heartbeat_timeout)
-        preempt_flagged = False
-        hung = False
-        stale_age = 0.0
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        while process.is_alive():
-            await asyncio.sleep(self.config.poll_interval)
-            monitor.poll()
-            if self._aborting:
-                process.kill()               # second signal: stop now
-                break
-            over_deadline = (
-                self.config.preempt_after is not None
-                and loop.time() - started > self.config.preempt_after)
-            if (self._draining or over_deadline) and not preempt_flagged:
-                with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
-                    flag.write("preempt requested by supervisor\n")
-                preempt_flagged = True
-            if monitor.stale():
-                process.kill()               # SIGKILL; heartbeats ceased
-                hung = True
-                stale_age = monitor.age()
-                break
-        process.join()                       # dead or just killed: quick
-        exitcode_desc = process_exitcode_desc(process.exitcode)
-        process.close()
-
-        # A published result supersedes the staleness verdict: a worker
-        # that finished just as the monitor killed it still did the work,
-        # and the result file is this attempt's (cleared before spawn).
-        result = self._read_result(jobdir)
-        if result is not None:
-            return JobAttempt(
-                outcome=result.get("outcome", "error"),
-                detail=result.get("detail", ""),
-                resumed_from=result.get("resumed_from", 0),
-                backoff_delay=backoff_delay,
-                bundle=result.get("bundle"),
-                payload_doc=result.get("payload"))
-
-        # No result: the process died (or we killed it for hanging).
-        kind = "hung" if hung else "crashed"
-        failure = FleetWorkerFailure(
-            kind,
-            f"no heartbeat for {stale_age:.1f}s "
-            f"(timeout {self.config.heartbeat_timeout}s); killed"
-            if hung else
-            f"worker exited {exitcode_desc} without a result "
-            f"(resume point: frame {resumed_from})",
-            last_heartbeat=monitor.last)
-        bundle = self._write_attempt_bundle(record, jobdir, failure)
-        return JobAttempt(outcome=kind, detail=str(failure),
-                          resumed_from=resumed_from,
-                          backoff_delay=backoff_delay, bundle=bundle)
-
-    # -- helpers ------------------------------------------------------------
-
-    def _arm_controls(self, record: JobRecord, jobdir: str) -> None:
-        """Install (or retire) this attempt's injected-fault control."""
-        controls = self.config.inject.get(record.spec.name, [])
-        index = len(record.attempts) + record.preemptions
-        path = os.path.join(jobdir, CONTROL_FILE)
-        if index < len(controls) and controls[index]:
-            with open(path, "w") as handle:
-                json.dump(controls[index], handle)
-        else:
-            self._clear(path)
-
-    @staticmethod
-    def _clear(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    @staticmethod
-    def _checkpoint_frame(jobdir: str) -> int:
-        from repro.health import load_checkpoint
-        from repro.soc.checkpoint import CheckpointError
-        try:
-            return load_checkpoint(
-                os.path.join(jobdir, CHECKPOINT_FILE)).frame_index
-        except (CheckpointError, OSError):
-            return 0
-
-    def _write_attempt_bundle(self, record: JobRecord, jobdir: str,
-                              failure: FleetWorkerFailure) -> Optional[str]:
-        """Triage bundle for an attempt that died without reporting."""
-        from repro.health import load_checkpoint
-        from repro.sanitize.triage import write_bundle
-        from repro.soc.checkpoint import CheckpointError
-        checkpoint = None
-        try:
-            checkpoint = load_checkpoint(
-                os.path.join(jobdir, CHECKPOINT_FILE))
-        except (CheckpointError, OSError):
-            pass
-        try:
-            return write_bundle(
-                os.path.join(jobdir, TRIAGE_DIR),
-                seed=record.spec.seed, error=failure,
-                command=f"python -m repro fleet --seeds {record.spec.seed} "
-                        f"--models {record.spec.model} "
-                        f"--frames {record.spec.frames}",
-                config={"job": record.spec.to_dict(),
-                        "attempt": len(record.attempts) + 1,
-                        "supervisor": failure.details},
-                checkpoint=checkpoint)
-        except OSError:
-            return None
-
-    def _read_result(self, jobdir: str) -> Optional[dict]:
-        try:
-            with open(os.path.join(jobdir, RESULT_FILE)) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
+def read_result(jobdir: str) -> Optional[dict]:
+    """The worker's published verdict, or None if it never published."""
+    try:
+        with open(os.path.join(jobdir, RESULT_FILE)) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
 
 
 def process_exitcode_desc(code) -> str:
@@ -546,11 +243,3 @@ def process_exitcode_desc(code) -> str:
         except ValueError:
             return f"on signal {-code}"
     return f"with code {code}"
-
-
-def run_sweep(specs, config: Optional[FleetConfig] = None,
-              workdir: str = "fleet-work") -> FleetReport:
-    """Submit ``specs`` and drive them all to terminal outcomes."""
-    supervisor = FleetSupervisor(config or FleetConfig(), workdir)
-    supervisor.submit_sweep(specs)
-    return supervisor.run()

@@ -73,12 +73,12 @@ def _read_control(jobdir: str) -> dict:
 
 
 def _read_claim(jobdir: str) -> Optional[str]:
-    """The supervisor's claim token for this attempt, if one was issued.
+    """The server's claim token for this attempt, if one was issued.
 
     The fleet server writes ``CLAIM`` (one line: server incarnation +
     attempt sequence) before spawning the worker; the token is stamped
     into every snapshot as provenance (:class:`GraphicsCheckpoint.claim`).
-    One-shot sweeps issue no claims and the field stays None.
+    A worker run outside the server has no claim and the field stays None.
     """
     try:
         with open(os.path.join(jobdir, CLAIM_FILE)) as handle:

@@ -187,7 +187,7 @@ class TestServeEndToEnd:
         assert server.serve(install_signals=False) == EXIT_DRAINED
         assert all(server._jobs[s.name].record.outcome == "ok"
                    for s in specs)
-        assert server.sup.executed == 2
+        assert server.executed == 2
         replay = replay_journal(os.path.join(server.workdir, JOURNAL_DIR))
         assert replay.clean_shutdown and replay.cache_hits() == 0
 
@@ -200,7 +200,7 @@ class TestServeEndToEnd:
         for spec in specs:
             server2.submit(JobSubmission(spec=spec))
         assert server2.serve(install_signals=False) == EXIT_DRAINED
-        assert server2.sup.executed == 0
+        assert server2.executed == 0
         replay2 = replay_journal(
             os.path.join(server2.workdir, JOURNAL_DIR))
         assert replay2.cache_hits() == 2
@@ -254,7 +254,7 @@ class TestServeEndToEnd:
         job = server._jobs[spec.name]
         assert job.record.outcome == "ok" and job.record.cache_hit
         assert server.serve(install_signals=False) == EXIT_DRAINED
-        assert server.sup.executed == 0
+        assert server.executed == 0
 
     def test_unhealthy_pool_degrades_to_cache_only_serving(self, tmp_path):
         server = make_server(

@@ -1,15 +1,23 @@
-"""Supervisor scheduling: backoff, shedding, heartbeats, crash recovery."""
+"""One-shot sweeps: backoff, shedding, heartbeats, crash recovery."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
+from repro.__main__ import main
 from repro.fleet import (BackoffPolicy, FleetConfig, FleetSaturated,
-                         FleetSupervisor, JobSpec, run_sweep)
+                         FleetServer, JobSpec, JobSubmission, ResultCache,
+                         ServerConfig, SweepWorkdirError, build_manifest,
+                         cache_key, replay_journal, run_sweep)
 from repro.fleet.heartbeat import (HeartbeatMonitor, read_heartbeat,
                                    write_heartbeat)
+from repro.fleet.manifest import result_payload
 
 #: Fast backoff for tests: same ladder shape, milliseconds not seconds.
 FAST_BACKOFF = BackoffPolicy(base=0.01, factor=2.0, cap=0.04)
@@ -68,32 +76,71 @@ class TestHeartbeat:
             HeartbeatMonitor(str(tmp_path / "hb.json"), timeout=0)
 
 
+def warm_cache(cache_dir, spec, fb_crc=0xC0FFEE):
+    """Publish a result for ``spec`` without running a worker."""
+    key = cache_key(spec)
+    ResultCache(cache_dir).store(key, build_manifest(spec, key, outcome="ok"),
+                                 result_payload(spec, fb_crc))
+
+
+def journal_matches_report(workdir, report):
+    """The sweep's journal folds clean to exactly the report's outcomes."""
+    replay = replay_journal(os.path.join(workdir, "journal"))
+    assert replay.summary()["outcomes"] == report.counts()
+    return replay
+
+
 class TestSubmission:
     def test_duplicate_names_rejected(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(), str(tmp_path))
-        supervisor.submit(tiny_spec("a"))
         with pytest.raises(ValueError, match="duplicate"):
-            supervisor.submit(tiny_spec("a"))
+            run_sweep([tiny_spec("a"), tiny_spec("a")], FleetConfig(),
+                      workdir=str(tmp_path))
+        assert not os.path.exists(tmp_path / "journal")  # refused up front
 
     def test_saturation_sheds_with_a_typed_error(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(queue_limit=2),
-                                     str(tmp_path))
-        supervisor.submit(tiny_spec("a"))
-        supervisor.submit(tiny_spec("b", seed=2))
+        server = FleetServer(
+            ServerConfig(fleet=FleetConfig(queue_limit=2),
+                         enable_socket=False),
+            str(tmp_path), sweep=True)
+        server.submit(JobSubmission(spec=tiny_spec("a")))
+        server.submit(JobSubmission(spec=tiny_spec("b", seed=2)))
         with pytest.raises(FleetSaturated) as info:
-            supervisor.submit(tiny_spec("c", seed=3))
+            server.submit(JobSubmission(spec=tiny_spec("c", seed=3)))
         assert info.value.pending == 2
         assert info.value.limit == 2
-        shed = supervisor.records[-1]
+        shed = server._jobs["c"].record
         assert shed.spec.name == "c"
         assert shed.outcome == "shed"
+        server.journal.close()
 
     def test_submit_sweep_records_shed_jobs(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(queue_limit=1),
-                                     str(tmp_path))
-        supervisor.submit_sweep([tiny_spec("a"), tiny_spec("b", seed=2)])
-        outcomes = {r.spec.name: r.outcome for r in supervisor.records}
-        assert outcomes == {"a": "pending", "b": "shed"}
+        # "a" is served from a warm cache, so the sweep spawns nothing.
+        cache = str(tmp_path / "cache")
+        spec = tiny_spec("a")
+        warm_cache(cache, spec)
+        workdir = str(tmp_path / "work")
+        report = run_sweep([spec, tiny_spec("b", seed=2)],
+                           FleetConfig(queue_limit=1, cache_dir=cache),
+                           workdir=workdir)
+        outcomes = {r.spec.name: r.outcome for r in report.records}
+        assert outcomes == {"a": "ok", "b": "shed"}
+        assert report.executed == 0
+        journal_matches_report(workdir, report)
+
+    def test_one_record_per_spec_in_order_even_for_shared_keys(
+            self, tmp_path):
+        # Same physics under two names is one job (the server dedups on
+        # the cache key); the report still answers for each spec.
+        cache = str(tmp_path / "cache")
+        warm_cache(cache, tiny_spec("x"))
+        specs = [tiny_spec("y", seed=2), tiny_spec("x"),
+                 tiny_spec("x-alias")]
+        warm_cache(cache, specs[0])
+        report = run_sweep(specs, FleetConfig(cache_dir=cache),
+                           workdir=str(tmp_path / "work"))
+        assert [r.spec.name for r in report.records] == ["y", "x", "x-alias"]
+        assert report.counts() == {"ok": 3} and report.executed == 0
+        assert report.records[1].payload == report.records[2].payload
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -144,6 +191,14 @@ class TestFleetEndToEnd:
         assert rerun.cached == 2
         assert [r.payload for r in rerun.records] \
             == [r.payload for r in report.records]
+
+        # Both sweeps' journals fold clean (no claim after done) to
+        # exactly the reported outcomes; only the kill's retry re-claims.
+        replay = journal_matches_report(str(tmp_path / "work"), report)
+        assert replay.clean_shutdown and replay.executed_claims() == 3
+        rereplay = journal_matches_report(str(tmp_path / "work2"), rerun)
+        assert rereplay.cache_hits() == 2
+        assert rereplay.executed_claims() == 0
 
     def test_retry_backoff_result_bit_identical_to_fault_free(self,
                                                               tmp_path):
@@ -257,21 +312,19 @@ class TestFleetEndToEnd:
         assert report.executed == 1            # no retry burned
 
     def test_cache_publish_failure_keeps_job_ok_and_sweep_alive(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """An OSError from the cache publish (disk full) is recorded on
         the record; the job stays ok and later jobs still run — the
-        supervisor loop never dies mid-sweep."""
-        supervisor = FleetSupervisor(
-            FleetConfig(workers=1, cache_dir=str(tmp_path / "cache")),
-            str(tmp_path / "work"))
-
-        def out_of_space(key, manifest, payload):
+        server loop never dies mid-sweep."""
+        def out_of_space(self, key, manifest, payload):
             raise OSError(28, "No space left on device")
 
-        supervisor.cache.store = out_of_space
-        supervisor.submit(tiny_spec("nospace", frames=1))
-        supervisor.submit(tiny_spec("after", frames=1, seed=2))
-        report = supervisor.run()
+        monkeypatch.setattr(ResultCache, "store", out_of_space)
+        report = run_sweep(
+            [tiny_spec("nospace", frames=1),
+             tiny_spec("after", frames=1, seed=2)],
+            FleetConfig(workers=1, cache_dir=str(tmp_path / "cache")),
+            workdir=str(tmp_path / "work"))
         assert report.ok
         assert report.counts() == {"ok": 2}
         assert all("No space left" in r.cache_error
@@ -285,6 +338,126 @@ class TestFleetEndToEnd:
         assert doc["schema"] == "repro-fleet-report/1"
         assert doc["ok"] is True
         assert doc["jobs"][0]["spec"]["name"] == "one"
+
+
+class TestSweepIsAServerRun:
+    """A sweep is an in-process server run with a fresh journal: it ends
+    on the last terminal transition, follows the server's degradation
+    rule, and never touches a journal ``fleet serve`` wrote."""
+
+    def test_cache_only_sweep_does_not_wait_out_the_poll_interval(
+            self, tmp_path):
+        cache = str(tmp_path / "cache")
+        specs = [tiny_spec("a"), tiny_spec("b", seed=2)]
+        for spec in specs:
+            warm_cache(cache, spec)
+        started = time.monotonic()
+        report = run_sweep(specs,
+                           FleetConfig(cache_dir=cache, poll_interval=5.0),
+                           workdir=str(tmp_path / "work"))
+        elapsed = time.monotonic() - started
+        assert report.cached == 2 and report.executed == 0
+        assert elapsed < 2.0, f"cache-only sweep took {elapsed:.2f}s"
+
+    def test_reused_workdir_starts_a_fresh_journal(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        workdir = str(tmp_path / "work")
+        warm_cache(cache, tiny_spec("a"))
+        warm_cache(cache, tiny_spec("b", seed=2))
+        run_sweep([tiny_spec("a")], FleetConfig(cache_dir=cache),
+                  workdir=workdir)
+        report = run_sweep([tiny_spec("b", seed=2)],
+                           FleetConfig(cache_dir=cache), workdir=workdir)
+        replay = journal_matches_report(workdir, report)
+        assert replay.incarnations == 1
+        assert set(replay.jobs) == {"b"}
+
+    def test_serve_journal_is_never_truncated(self, tmp_path, capsys):
+        workdir = tmp_path / "srv"
+        server = FleetServer(ServerConfig(enable_socket=False),
+                             str(workdir))
+        server.submit(JobSubmission(spec=tiny_spec("queued")))
+        server.journal.close()
+        journal = workdir / "journal"
+        before = {path.name: path.read_bytes()
+                  for path in journal.iterdir()}
+
+        with pytest.raises(SweepWorkdirError, match="fleet serve"):
+            run_sweep([tiny_spec("a")], FleetConfig(), workdir=str(workdir))
+        assert main(["fleet", "sweep", "--seeds", "1", "--frames", "1",
+                     "--workdir", str(workdir)]) == 2
+        assert "fleet serve" in capsys.readouterr().out
+        assert {path.name: path.read_bytes()
+                for path in journal.iterdir()} == before
+
+    @pytest.mark.slow
+    def test_sweep_degrades_after_consecutive_worker_failures(
+            self, tmp_path):
+        unhealthy = ServerConfig().unhealthy_after
+        cache = str(tmp_path / "cache")
+        hit = tiny_spec("hit", seed=99, frames=1)
+        warm_cache(cache, hit)
+        crashers = [tiny_spec(f"crash{i}", seed=10 + i, frames=1)
+                    for i in range(unhealthy)]
+        config = FleetConfig(
+            workers=1, max_attempts=1, cache_dir=cache,
+            inject={spec.name: [{"kill_at_frame": 0}] for spec in crashers})
+        workdir = str(tmp_path / "work")
+        report = run_sweep(crashers + [tiny_spec("miss", seed=50, frames=1),
+                                       hit],
+                           config, workdir=workdir)
+        outcomes = {r.spec.name: r.outcome for r in report.records}
+        assert [outcomes[spec.name] for spec in crashers] \
+            == ["failed"] * unhealthy
+        assert outcomes["miss"] == "shed"        # cache-only serving
+        assert outcomes["hit"] == "ok" and report.records[-1].cache_hit
+        assert report.executed == unhealthy
+        journal_matches_report(workdir, report)
+
+    @pytest.mark.slow
+    def test_preemption_cap_fails_the_job(self, tmp_path, monkeypatch):
+        import repro.fleet.server as server_module
+        monkeypatch.setattr(server_module, "MAX_PREEMPTIONS", 1)
+        workdir = str(tmp_path / "work")
+        report = run_sweep([tiny_spec("restless", frames=2)],
+                           FleetConfig(workers=1, preempt_after=0.0),
+                           workdir=workdir)
+        record = report.records[0]
+        assert record.outcome == "failed"
+        assert record.preemptions == 1 and record.attempts == []
+        journal_matches_report(workdir, report)
+
+    @pytest.mark.slow
+    def test_drained_sweep_journal_matches_its_report(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        workdir = tmp_path / "work"
+        summary = tmp_path / "summary.json"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "sweep",
+             "--seeds", "1,2", "--frames", "300", "--workers", "1",
+             "--workdir", str(workdir),
+             "--cache-dir", str(tmp_path / "cache"),
+             "--summary", str(summary)],
+            env=env, cwd=str(tmp_path), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        # The claim file exists once the loop (and its signal handlers)
+        # is running and a worker is being spawned.
+        claim = workdir / "jobs" / "cube-s1" / "CLAIM"
+        deadline = time.monotonic() + 60.0
+        while not claim.exists() and time.monotonic() < deadline:
+            assert process.poll() is None, process.stdout.read()
+            time.sleep(0.05)
+        process.send_signal(signal.SIGTERM)
+        out, _ = process.communicate(timeout=120)
+        assert process.returncode == 4, out
+        assert "runs them from scratch" in out
+        doc = json.loads(summary.read_text())
+        assert doc["counts"] == {"cancelled": 2}
+        replay = replay_journal(str(workdir / "journal"))
+        assert replay.summary()["outcomes"] == doc["counts"]
 
 
 class TestMonotonicProgressClock:
