@@ -27,7 +27,7 @@ from repro.harness.report import format_table
 from repro.harness.scenes import SceneSession
 from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, SoCRunConfig, preset_topology
 from repro.soc.tracedriven import TraceReplayer, record_soc_trace
 
 MODEL = "M2"
@@ -47,10 +47,11 @@ def test_trace_vs_execution(benchmark):
                                texture_size=cs1.texture_size)
         base_config = SoCRunConfig(
             width=cs1.width, height=cs1.height, num_frames=cs1.num_frames,
-            memory_config="BAS",
-            dram=DRAMConfig(channels=cs1.channels,
-                            data_rate_mbps=cs1.high_rate_mbps),
-            gpu=_cs1_gpu(),
+            topology=preset_topology(
+                "BAS",
+                dram=DRAMConfig(channels=cs1.channels,
+                                data_rate_mbps=cs1.high_rate_mbps),
+                gpu=_cs1_gpu()),
             gpu_frame_period_ticks=cs1.gpu_frame_period_ticks,
             display_period_ticks=cs1.display_period_ticks,
             cpu_work_per_frame=cs1.cpu_work_per_frame,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro.harness.report import format_table
 
@@ -169,6 +170,20 @@ def _print_sampled(sampled) -> None:
           f"functional + {sampled.wall_detailed:.2f}s detailed")
 
 
+def _refuse_bad_schedule(command: str, run: Callable[[], int]) -> int:
+    """``run()``, with a bad --ffwd / --sample request as exit 2.
+
+    An out-of-range fast-forward or an unsatisfiable sampling schedule
+    is a usage error: one line naming it, not a traceback.
+    """
+    from repro.sampling import FunctionalSimError, WindowScheduleError
+    try:
+        return run()
+    except (FunctionalSimError, WindowScheduleError) as exc:
+        print(f"bad {command} invocation: {exc}")
+        return 2
+
+
 def _cs1_ffwd_or_sample(args, config, sanitize) -> int:
     """cs1's --ffwd / --sample paths (sampling owns the checkpointing)."""
     from repro.harness.case_study1 import make_cs1_setup
@@ -208,7 +223,8 @@ def _cmd_cs1(args) -> int:
             print("--ffwd/--sample own the run's checkpointing; combine "
                   "them with the health flags via `repro ffwd` instead")
             return 2
-        return _cs1_ffwd_or_sample(args, config, sanitize)
+        return _refuse_bad_schedule(
+            "cs1", lambda: _cs1_ffwd_or_sample(args, config, sanitize))
     results = run_cs1(args.model, args.config, args.load, config,
                       health=health, stats_path=args.dump_stats,
                       trace=_build_trace(args), sanitize=sanitize)
@@ -282,6 +298,10 @@ def _cmd_ffwd(args) -> int:
     reports extrapolated metrics with standard-error bars.  Plain
     ``--ffwd K`` fast-forwards K frames and runs the rest detailed.
     """
+    return _refuse_bad_schedule("ffwd", lambda: _run_ffwd(args))
+
+
+def _run_ffwd(args) -> int:
     import json
 
     from repro.harness.case_study1 import CS1Config, make_cs1_setup
@@ -390,25 +410,18 @@ def _cmd_selftest(args) -> int:
     DRAM, watchdog, checkpointing) in a few seconds and asserts a clean
     shutdown — the canary CI runs on every commit.
     """
-    from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
     from repro.harness.scenes import SceneSession
     from repro.health import HealthConfig
-    from repro.soc.soc import EmeraldSoC, SoCRunConfig
+    from repro.soc.soc import EmeraldSoC, smoke_run_config
 
     sanitize = _build_sanitize(args)
-    session = SceneSession("cube", 48, 36)
-    config = SoCRunConfig(
-        width=48, height=36, num_frames=args.frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
+    config = smoke_run_config(
+        num_frames=args.frames,
         health=HealthConfig(watchdog=True, checkpoint_every=1),
         trace=_build_trace(args),
         sanitize=sanitize,
     )
+    session = SceneSession("cube", config.width, config.height)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     results = soc.run()
     _print_profile(results, args)

@@ -138,27 +138,21 @@ def _sanitize_config(jobdir: str, spec: JobSpec):
 def _run_config(spec: JobSpec, jobdir: str, frame_hook, preempt_check,
                 job_key: Optional[str] = None,
                 claim: Optional[str] = None):
-    from repro.common.config import (DRAMConfig, GPUConfig, SoCTopology,
-                                     scaled_gpu)
-    from repro.soc.soc import SoCRunConfig
+    from repro.common.config import SoCTopology
+    from repro.soc.soc import smoke_run_config, smoke_topology
 
     faults = None
     if spec.faults:
         faults = FaultConfig(seed=spec.seed, **spec.faults)
     # A declarative spec carries the full system shape; name-string specs
-    # keep the fleet's historical default shape.
+    # put their memory configuration on the smoke SoC.
     topology = (SoCTopology.from_dict(spec.topology)
-                if spec.topology is not None else None)
-    return SoCRunConfig(
+                if spec.topology is not None
+                else smoke_topology(spec.memory_config))
+    return smoke_run_config(
         width=spec.width, height=spec.height, num_frames=spec.frames,
-        memory_config=spec.memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
-        seed=spec.seed,
         topology=topology,
+        seed=spec.seed,
         health=HealthConfig(
             watchdog=True,
             faults=faults,
@@ -201,8 +195,8 @@ def _metrics(soc, results) -> dict:
     }
 
 
-def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict,
-                     job_key: str) -> dict:
+def _run_sampled_job(spec: JobSpec, jobdir: str, config, factory,
+                     base: dict, job_key: str) -> dict:
     """The sampled-job attempt: alternate windows, extrapolate, publish.
 
     Sampled runs own their window checkpointing in memory (no
@@ -215,17 +209,12 @@ def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict,
     wall-clock times (those go in the result doc outside the payload).
     """
     from repro.common.events import SimulationError
-    from repro.harness.scenes import SceneSession
     from repro.sampling.sampler import run_sampled
     from repro.sampling.stats import ExtrapolationError
     from repro.sampling.windows import parse_sample_spec
     from repro.sanitize.violations import SanitizerViolation
 
     schedule = parse_sample_spec(spec.sample, spec.frames)
-
-    def factory():
-        return SceneSession(spec.model, spec.width, spec.height)
-
     try:
         sampled = run_sampled(config, factory, schedule, job=job_key)
     except SanitizerViolation as violation:
@@ -270,8 +259,8 @@ def run_job(spec: JobSpec, jobdir: str,
     """Run one attempt; always returns (and persists) a typed outcome."""
     from repro.harness.scenes import SceneSession
     from repro.health.recovery import resume_run
+    from repro.sampling.ffwd import fast_forward
     from repro.sanitize.violations import SanitizerViolation
-    from repro.soc.soc import EmeraldSoC
     from repro.common.events import SimulationError
 
     os.makedirs(jobdir, exist_ok=True)
@@ -315,33 +304,31 @@ def run_job(spec: JobSpec, jobdir: str,
     base = {"name": spec.name, "resumed_from": resumed_from,
             "fallback": fallback}
 
-    session = SceneSession(spec.model, spec.width, spec.height)
     from repro.fleet.heartbeat import write_heartbeat
     write_heartbeat(heartbeat_path, frame=-1, tick=0, beats=0)
+
+    def factory():
+        return SceneSession(spec.model, spec.width, spec.height)
 
     config = _run_config(spec, jobdir, frame_hook, preempt_check,
                          job_key=job_key, claim=_read_claim(jobdir))
     if spec.sample is not None:
-        return _run_sampled_job(spec, jobdir, config, base, job_key)
+        return _run_sampled_job(spec, jobdir, config, factory, base,
+                                job_key)
     try:
         if spec.ffwd and resumed_from < spec.ffwd:
             # Fast-forward jobs skip the warm-up frames functionally
             # (zero timing events) and enter detailed timing from the
             # snapshot — unless an on-disk checkpoint already sits past
             # the switch point, in which case the normal resume wins.
-            from repro.sampling.functional import FunctionalSim
-            sim = FunctionalSim(config, session.frame, render="none")
-            sim.run(spec.ffwd)
-            checkpoint = sim.checkpoint(job=job_key)
-            session = SceneSession(spec.model, spec.width, spec.height)
-        if checkpoint is not None:
+            ffwd = fast_forward(config, factory, spec.ffwd, job=job_key,
+                                render="none", max_events=budget_events)
+            soc, results = ffwd.soc, ffwd.results
+        else:
+            session = factory()
             soc, results = resume_run(checkpoint, config, session.frame,
                                       session.framebuffer_address,
                                       max_events=budget_events)
-        else:
-            soc = EmeraldSoC(config, session.frame,
-                             session.framebuffer_address)
-            results = soc.run(max_events=budget_events)
     except PreemptionRequested as preempted:
         return _write_result(jobdir, {
             **base, "outcome": "preempted",

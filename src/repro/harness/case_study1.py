@@ -14,12 +14,14 @@ from typing import Optional
 from repro.common.config import (
     DRAMConfig,
     GPUConfig,
+    NoCLinkBudget,
     SIMTCoreConfig,
     CacheConfig,
 )
 from repro.harness.scenes import CASE_STUDY1_SCENES, SceneSession
 from repro.memory.builders import MEMORY_CONFIG_NAMES
-from repro.soc.soc import EmeraldSoC, SoCResults, SoCRunConfig
+from repro.soc.soc import (EmeraldSoC, SoCResults, SoCRunConfig,
+                           preset_topology)
 
 MODELS = tuple(CASE_STUDY1_SCENES)           # M1..M4
 CONFIGS = MEMORY_CONFIG_NAMES                # BAS, DCB, DTB, HMC
@@ -63,7 +65,7 @@ class CS1Config:
     regular_rate_mbps: int = 800
     high_rate_mbps: int = 400
     channels: int = 2
-    # Bounded-bandwidth NoC (None = unbounded; see SoCRunConfig).
+    # Bounded-bandwidth NoC link (None = unbounded; see NoCLinkBudget).
     noc_capacity: Optional[int] = None
     noc_bytes_per_cycle: Optional[float] = None
     seed: int = 7
@@ -91,18 +93,22 @@ def make_cs1_setup(model: str, config_name: str, load: str = "regular",
 
     rate = (config.regular_rate_mbps if load == "regular"
             else config.high_rate_mbps)
+    link = None
+    if (config.noc_capacity is not None
+            or config.noc_bytes_per_cycle is not None):
+        link = NoCLinkBudget(capacity=config.noc_capacity,
+                             bytes_per_cycle=config.noc_bytes_per_cycle)
     run_config = SoCRunConfig(
         width=config.width, height=config.height,
         num_frames=config.num_frames,
-        memory_config=config_name,
-        dram=DRAMConfig(channels=config.channels, data_rate_mbps=rate),
-        gpu=_cs1_gpu(),
+        topology=preset_topology(
+            config_name,
+            dram=DRAMConfig(channels=config.channels, data_rate_mbps=rate),
+            gpu=_cs1_gpu(), link=link),
         gpu_frame_period_ticks=config.gpu_frame_period_ticks,
         display_period_ticks=config.display_period_ticks,
         cpu_work_per_frame=config.cpu_work_per_frame,
         cpu_fixed_ticks=config.cpu_fixed_ticks,
-        noc_capacity=config.noc_capacity,
-        noc_bytes_per_cycle=config.noc_bytes_per_cycle,
         seed=config.seed,
         health=health,
         trace=trace,

@@ -139,29 +139,38 @@ def load_checkpoint(path: str) -> GraphicsCheckpoint:
         return GraphicsCheckpoint.from_json(handle.read())
 
 
-def resume_run(checkpoint: GraphicsCheckpoint, run_config,
+def check_topology(checkpoint: GraphicsCheckpoint, run_config) -> None:
+    """Refuse to restore ``checkpoint`` onto different hardware.
+
+    A snapshot stamped with a topology hash must match the topology
+    ``run_config`` assembles; a mismatch raises
+    :class:`CheckpointTopologyError` before any state is rebuilt.
+    Unstamped snapshots pass.
+    """
+    if checkpoint.topology is None:
+        return
+    config_hash = run_config.topology.topology_hash()
+    if checkpoint.topology != config_hash:
+        raise CheckpointTopologyError(
+            snapshot_hash=checkpoint.topology, config_hash=config_hash)
+
+
+def resume_soc(checkpoint: Optional[GraphicsCheckpoint], run_config,
                frame_source: Callable[[int], Frame],
-               framebuffer_address: int,
-               max_events: Optional[int] = None):
-    """Resume a crashed run from ``checkpoint``.
+               framebuffer_address: int):
+    """Build (but do not run) the SoC that continues from ``checkpoint``.
 
     Rebuilds GL-side state by draw-call replay (which also validates the
-    trace), then constructs a fresh SoC that re-enters simulated time at the
-    snapshot tick and the render loop at the snapshot frame index.  Returns
-    ``(soc, results)`` — the results cover the resumed frames only, but the
-    final framebuffer matches an uninterrupted run.
-
-    A snapshot stamped with a topology hash is checked against the
-    topology ``run_config`` would assemble *before* any state is rebuilt;
-    a mismatch raises :class:`CheckpointTopologyError`.
+    trace), then constructs a fresh SoC that re-enters simulated time at
+    the snapshot tick and the render loop at the snapshot frame index,
+    with the fault RNG streams where the snapshot left them.  A
+    ``checkpoint`` of None builds a SoC that starts from frame 0.
     """
     from repro.soc.soc import EmeraldSoC   # late import: soc imports health
 
-    if checkpoint.topology is not None:
-        config_hash = run_config.resolve_topology().topology_hash()
-        if checkpoint.topology != config_hash:
-            raise CheckpointTopologyError(
-                snapshot_hash=checkpoint.topology, config_hash=config_hash)
+    if checkpoint is None:
+        return EmeraldSoC(run_config, frame_source, framebuffer_address)
+    check_topology(checkpoint, run_config)
     restored = checkpoint.restore_frames()
     soc = EmeraldSoC(run_config, frame_source, framebuffer_address,
                      start_frame=checkpoint.frame_index,
@@ -173,6 +182,20 @@ def resume_run(checkpoint: GraphicsCheckpoint, run_config,
         # without this a resume re-draws the whole fault sequence from the
         # seed and diverges from the uninterrupted run.
         soc.injector.restore_rng(checkpoint.rng)
+    return soc
+
+
+def resume_run(checkpoint: Optional[GraphicsCheckpoint], run_config,
+               frame_source: Callable[[int], Frame],
+               framebuffer_address: int,
+               max_events: Optional[int] = None):
+    """Resume a crashed run from ``checkpoint`` (see :func:`resume_soc`).
+
+    Returns ``(soc, results)`` — the results cover the resumed frames
+    only, but the final framebuffer matches an uninterrupted run.
+    """
+    soc = resume_soc(checkpoint, run_config, frame_source,
+                     framebuffer_address)
     results = soc.run(max_events=max_events) if max_events is not None \
         else soc.run()
     return soc, results

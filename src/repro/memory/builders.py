@@ -12,7 +12,6 @@ both paths assemble byte-identical systems.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.common.config import (ConfigError, DRAMConfig, MemoryTopology)
@@ -35,6 +34,15 @@ MEMORY_PRESETS: dict[str, tuple[str, str]] = {
     "BAS": ("frfcfs", "address"),
     "DCB": ("dash-cpu", "address"),
     "DTB": ("dash-system", "address"),
+    # HMC, the heterogeneous memory controller (Nachiappan et al.),
+    # statically partitions DRAM channels by traffic source: CPU-assigned
+    # channels keep the locality-optimized (page-striped) mapping,
+    # IP-assigned channels use the parallelism-optimized
+    # (cache-line-striped) mapping of Table 4, and each channel stays
+    # FR-FCFS.  Case study I shows its two failure modes: channel
+    # imbalance — CPU channels idle while the GPU renders — and poor row
+    # locality on IP channels, because GPU traffic, unlike display
+    # scanout, is not sequential (Figs. 10 and 11).
     "HMC": ("frfcfs", "source"),
 }
 
@@ -170,8 +178,11 @@ def build_hmc_memory(events: EventQueue, config: DRAMConfig,
                      rows: int = DEFAULT_ROWS) -> MemorySystem:
     """An HMC memory system: half the channels for CPU, half for IPs.
 
-    Kept as a convenience over the ``HMC`` preset descriptor; see
-    :mod:`repro.memory.hmc` for the organization's rationale.
+    With the paper's 2-channel configuration (Table 4) this is one
+    channel per source class; fewer than two channels fails topology
+    validation (:class:`~repro.common.config.ConfigError`).  See the
+    ``HMC`` entry of :data:`MEMORY_PRESETS` for the organization's
+    rationale.
     """
     system, _ = build_memory(
         events, memory_topology_by_name("HMC", config),

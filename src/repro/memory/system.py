@@ -3,8 +3,8 @@
 A :class:`MemorySystem` owns one :class:`~repro.memory.dram.DRAMChannel`
 per physical channel plus a *router* deciding which channel a request goes
 to.  The baseline routes by address bits (channel interleaving per the
-Table 4 mapping); HMC routes by source type (see
-:mod:`repro.memory.hmc`).
+Table 4 mapping); HMC routes by source type (see the ``HMC`` preset in
+:mod:`repro.memory.builders`).
 """
 
 from __future__ import annotations

@@ -33,10 +33,10 @@ from typing import Callable, Optional
 
 from repro.gl.context import Frame
 from repro.gl.trace import TraceRecorder
+from repro.health.recovery import check_topology
 from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.renderer import ReferenceRenderer
-from repro.soc.checkpoint import (CheckpointTopologyError, GraphicsCheckpoint,
-                                  capture)
+from repro.soc.checkpoint import GraphicsCheckpoint, capture
 
 # What the functional engine renders: "none" advances GL state only (the
 # cheapest fast-forward), "boundary" renders the last frame before each
@@ -68,7 +68,7 @@ class FunctionalSim:
                 f"render policy must be one of {RENDER_POLICIES}, "
                 f"got {render!r}")
         self.config = run_config
-        self.topology = run_config.resolve_topology()
+        self.topology = run_config.topology
         self.frame_source = frame_source
         self.render = render
         gpu = self.topology.gpu
@@ -92,16 +92,11 @@ class FunctionalSim:
         """Continue functionally from a snapshot either engine wrote.
 
         Same topology guard as detailed resume
-        (:func:`repro.health.recovery.resume_run`): a snapshot stamped
-        with a different topology hash is refused before any state is
-        rebuilt.
+        (:func:`repro.health.recovery.check_topology`): a snapshot
+        stamped with a different topology hash is refused before any
+        state is rebuilt.
         """
-        if checkpoint.topology is not None:
-            config_hash = run_config.resolve_topology().topology_hash()
-            if checkpoint.topology != config_hash:
-                raise CheckpointTopologyError(
-                    snapshot_hash=checkpoint.topology,
-                    config_hash=config_hash)
+        check_topology(checkpoint, run_config)
         sim = cls(run_config, frame_source, render=render)
         sim._pending = checkpoint.restore_frames()
         sim.next_frame = checkpoint.frame_index

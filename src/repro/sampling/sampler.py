@@ -26,11 +26,12 @@ from typing import Callable, Optional
 
 from repro.gpu.energy import frame_energy, gpu_activity_snapshot
 from repro.health import HealthConfig
+from repro.health.recovery import resume_soc
 from repro.sampling.ffwd import fb_crc
 from repro.sampling.functional import FunctionalSim
 from repro.sampling.stats import (ExtrapolatedRun, WindowSample, extrapolate)
 from repro.sampling.windows import Window, WindowSchedule
-from repro.soc.checkpoint import (CheckpointTopologyError, GraphicsCheckpoint)
+from repro.soc.checkpoint import GraphicsCheckpoint
 
 
 @dataclass
@@ -77,30 +78,6 @@ class SampledRunResult:
             "final_detailed_frame": self.final_detailed_frame,
         })
         return doc
-
-
-def _resume_soc(config, checkpoint: Optional[GraphicsCheckpoint], session):
-    """Build the detailed-window SoC (the resume_run recipe, un-run).
-
-    Inlined rather than calling :func:`repro.health.recovery.resume_run`
-    because the sampler needs the live SoC *before* the run starts — the
-    per-frame metric hook closes over it.
-    """
-    from repro.soc.soc import EmeraldSoC   # late import: cycle via health
-    if checkpoint is None:
-        return EmeraldSoC(config, session.frame, session.framebuffer_address)
-    if checkpoint.topology is not None:
-        config_hash = config.resolve_topology().topology_hash()
-        if checkpoint.topology != config_hash:
-            raise CheckpointTopologyError(
-                snapshot_hash=checkpoint.topology, config_hash=config_hash)
-    restored = checkpoint.restore_frames()
-    soc = EmeraldSoC(config, session.frame, session.framebuffer_address,
-                     start_frame=checkpoint.frame_index,
-                     start_tick=checkpoint.tick)
-    if soc.checkpoints is not None:
-        soc.checkpoints.seed(restored)
-    return soc
 
 
 def _window_sample(window: Window, results, per_frame: list[dict]
@@ -209,7 +186,8 @@ def run_sampled(run_config, session_factory: Callable[[], object],
                 checkpoint_every=0 if is_last else window.end,
                 checkpoint_job=job),
             frame_hook=hook)
-        soc = _resume_soc(window_config, checkpoint, session)
+        soc = resume_soc(checkpoint, window_config, session.frame,
+                         session.framebuffer_address)
         cell["soc"] = soc
         results = soc.run()
         if is_last:

@@ -146,18 +146,11 @@ class ChaosReport:
 
 def _run_config(scenario: ChaosScenario, seed: int, frames: int,
                 sanitize: SanitizeConfig):
-    from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
-    from repro.soc.soc import SoCRunConfig
+    from repro.soc.soc import smoke_run_config
     from repro.trace import TraceConfig
 
-    return SoCRunConfig(
+    return smoke_run_config(
         width=WIDTH, height=HEIGHT, num_frames=frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
         seed=seed,
         health=HealthConfig(
             watchdog=True,

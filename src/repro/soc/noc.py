@@ -3,8 +3,8 @@
 The NoC is one :class:`~repro.common.ports.Link` from the IP-side ingress
 to the memory system.  The paper uses gem5's classic (coherent) system
 network; a fixed-latency link preserves the first-order effect — IP-to-
-DRAM distance — without a flit-level model, and the link's optional
-``capacity`` / ``bytes_per_cycle`` knobs add MGSim-style bounded
+DRAM distance — without a flit-level model, and an optional per-link
+budget (``capacity`` / ``bytes_per_cycle``) adds MGSim-style bounded
 bandwidth: under sustained overload requests queue in the link (visible
 as queue-occupancy/stall statistics and rising traversal latency) and
 backpressure propagates to the issuing IPs through the port retry
@@ -109,16 +109,15 @@ class SystemNoC:
     ``memory`` may be a single endpoint (one link named ``noc.link`` —
     the seed's exact structure) or a sequence of N endpoints: one link
     per endpoint (``noc.link0`` ... ) behind an address-interleaved
-    :class:`EndpointRouter`, with per-link budgets from
-    ``link_budgets`` (anything exposing ``capacity`` /
-    ``bytes_per_cycle``, e.g. :class:`repro.common.config.NoCLinkBudget`).
+    :class:`EndpointRouter`.  ``link_budgets`` bounds the links, one
+    budget per endpoint (anything exposing ``capacity`` /
+    ``bytes_per_cycle``, e.g. :class:`repro.common.config.NoCLinkBudget`);
+    None leaves every link unbounded.
     """
 
     def __init__(self, events: EventQueue, memory,
                  latency: int = 12, watchdog=None, injector=None,
-                 retry=None, capacity: Optional[int] = None,
-                 bytes_per_cycle: Optional[float] = None,
-                 tracer=None, link_budgets=None,
+                 retry=None, tracer=None, link_budgets=None,
                  interleave_bytes: int = 4096) -> None:
         self.events = events
         memories = (list(memory) if isinstance(memory, (list, tuple))
@@ -136,32 +135,23 @@ class SystemNoC:
             # parks it in metadata; the link consumes it on acceptance.
             def extra_hook(request):
                 return request.metadata.pop(EXTRA_KEY, 0)
+        budgets = link_budgets or [None] * len(memories)
+        self.links = []
+        for index, (endpoint, budget) in enumerate(
+                zip(memories, budgets, strict=True)):
+            link = Link(
+                events,
+                "noc.link" if len(memories) == 1 else f"noc.link{index}",
+                latency=latency,
+                capacity=budget.capacity if budget else None,
+                bytes_per_cycle=budget.bytes_per_cycle if budget else None,
+                extra_latency=extra_hook)
+            link.connect(endpoint)
+            self.links.append(link)
+        self.link = self.links[0]
         self.router: Optional[EndpointRouter] = None
-        if len(memories) == 1:
-            budget = link_budgets[0] if link_budgets else None
-            if budget is not None:
-                capacity = budget.capacity
-                bytes_per_cycle = budget.bytes_per_cycle
-            self.link = Link(events, "noc.link", latency=latency,
-                             capacity=capacity,
-                             bytes_per_cycle=bytes_per_cycle,
-                             extra_latency=extra_hook)
-            self.link.connect(memories[0])
-            self.links = [self.link]
-            head = self.link
-        else:
-            self.links = []
-            for index, endpoint in enumerate(memories):
-                budget = link_budgets[index] if link_budgets else None
-                link = Link(
-                    events, f"noc.link{index}", latency=latency,
-                    capacity=budget.capacity if budget else None,
-                    bytes_per_cycle=(budget.bytes_per_cycle
-                                     if budget else None),
-                    extra_latency=extra_hook)
-                link.connect(endpoint)
-                self.links.append(link)
-            self.link = self.links[0]
+        head = self.link
+        if len(memories) > 1:
             self.router = EndpointRouter(self.links, interleave_bytes,
                                          stats=self.stats)
             head = self.router

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
-                                 NoCLinkBudget, NoCTopology, SoCTopology)
+from repro.common.config import (DRAMConfig, GPUConfig, NoCLinkBudget,
+                                 NoCTopology, SoCTopology, scaled_gpu)
 from repro.common.events import EventQueue, SimulationError, StopReason
 from repro.gl.context import Frame
 from repro.gpu.gpu import EmeraldGPU
@@ -31,11 +31,33 @@ from repro.soc.noc import SystemNoC
 from repro.trace import CycleAttribution, TraceConfig, Tracer, summarize
 
 
+def preset_topology(memory_config: str = "BAS",
+                    dram: Optional[DRAMConfig] = None,
+                    gpu: Optional[GPUConfig] = None,
+                    link: Optional[NoCLinkBudget] = None) -> SoCTopology:
+    """A Table 6 memory configuration (BAS / DCB / DTB / HMC) as a machine.
+
+    One memory endpoint of ``dram`` (default: two channels), ``gpu``
+    (default: :class:`GPUConfig`), four CPU cores and a 12-tick NoC whose
+    one link is bounded by ``link`` (None: unbounded, bit-identical to
+    the seed's pure-latency hop).
+    """
+    return SoCTopology(
+        name=memory_config,
+        gpu=gpu if gpu is not None else GPUConfig(),
+        memory=(memory_topology_by_name(
+            memory_config,
+            dram if dram is not None else DRAMConfig(channels=2)),),
+        noc=NoCTopology(links=(link,) if link is not None else None))
+
+
 @dataclass
 class SoCRunConfig:
     """Knobs for one full-system run.
 
-    The paper simulates at 1024x768 against wall-clock deadlines; a scaled
+    ``topology`` is the one description of the hardware the run
+    assembles; every other field says how to drive it.  The paper
+    simulates at 1024x768 against wall-clock deadlines; a scaled
     resolution needs proportionally scaled deadlines to preserve the
     load-to-deadline ratios, hence explicit tick periods here (see
     EXPERIMENTS.md).
@@ -44,20 +66,13 @@ class SoCRunConfig:
     width: int = 192
     height: int = 144
     num_frames: int = 5
-    memory_config: str = "BAS"               # BAS | DCB | DTB | HMC
-    dram: DRAMConfig = field(default_factory=lambda: DRAMConfig(channels=2))
-    gpu: GPUConfig = field(default_factory=GPUConfig)
+    # GPU, CPU cluster, memory endpoints and NoC links; its hash stamps
+    # checkpoints and fleet cache keys.
+    topology: SoCTopology = field(default_factory=preset_topology)
     gpu_frame_period_ticks: int = 400_000     # app target (30 FPS analog)
     display_period_ticks: int = 200_000       # vsync (60 FPS analog)
     cpu_work_per_frame: int = 150
     cpu_fixed_ticks: int = 0
-    num_cpu_cores: int = 4
-    noc_latency: int = 12
-    # Bounded-bandwidth NoC (None = unbounded, bit-identical to the seed):
-    # ``noc_capacity`` caps the link queue depth; ``noc_bytes_per_cycle``
-    # serializes packets so sustained overload queues (Fig. 12 regime).
-    noc_capacity: Optional[int] = None
-    noc_bytes_per_cycle: Optional[float] = None
     seed: int = 7
     # DASH epoch scaling: Table 3's quantum (1M cycles) assumes wall-clock-
     # scale workloads; scaled runs need the classifier to re-cluster within
@@ -79,34 +94,27 @@ class SoCRunConfig:
     # every completed frame, before checkpointing.  The fleet worker uses
     # it for heartbeats; it must not schedule events or draw randomness.
     frame_hook: Optional[Callable[[int, int], None]] = None
-    # Declarative assembly: an explicit :class:`SoCTopology` descriptor
-    # overrides the knob-derived system shape (memory_config / dram /
-    # num_cpu_cores / noc_*).  None derives an equivalent descriptor from
-    # those knobs — see :meth:`resolve_topology` — so every run, legacy or
-    # declarative, has a canonical topology (and hash).
-    topology: Optional[SoCTopology] = None
 
-    def resolve_topology(self) -> SoCTopology:
-        """The :class:`SoCTopology` this run assembles.
 
-        The explicit descriptor when one is set; otherwise one derived
-        from the legacy knobs.  A default config and its hand-written
-        descriptor equivalent resolve to equal descriptors — and thus the
-        same topology hash — which is what lets checkpoint/cache
-        identities survive the declarative migration.
-        """
-        if self.topology is not None:
-            return self.topology
-        links = None
-        if self.noc_capacity is not None or self.noc_bytes_per_cycle is not None:
-            links = (NoCLinkBudget(capacity=self.noc_capacity,
-                                   bytes_per_cycle=self.noc_bytes_per_cycle),)
-        return SoCTopology(
-            name=self.memory_config,
-            gpu=self.gpu,
-            cpu=CPUClusterTopology(num_cores=self.num_cpu_cores),
-            memory=(memory_topology_by_name(self.memory_config, self.dram),),
-            noc=NoCTopology(latency=self.noc_latency, links=links))
+def smoke_topology(memory_config: str = "BAS") -> SoCTopology:
+    """The smoke SoC's machine: a 2-cluster small-cache GPU, 2 channels."""
+    return preset_topology(memory_config,
+                           gpu=scaled_gpu(GPUConfig(num_clusters=2)))
+
+
+def smoke_run_config(**fields) -> SoCRunConfig:
+    """The 48x36 smoke SoC: a full frame in about a second.
+
+    One workload for ``repro selftest``, the chaos harness, the fleet
+    worker and the full-system tests.  ``fields`` override any
+    :class:`SoCRunConfig` field; ``topology`` defaults to
+    :func:`smoke_topology`.
+    """
+    fields.setdefault("topology", smoke_topology())
+    return SoCRunConfig(**{"width": 48, "height": 36,
+                           "gpu_frame_period_ticks": 120_000,
+                           "display_period_ticks": 60_000,
+                           "cpu_work_per_frame": 40, **fields})
 
 
 @dataclass
@@ -144,12 +152,10 @@ class SoCResults:
 class EmeraldSoC:
     """The assembled system; create, then :meth:`run`.
 
-    Assembly is a staged builder pipeline over the run's resolved
+    Assembly is a staged builder pipeline over the run's
     :class:`~repro.common.config.SoCTopology` — events/health, memory
     endpoints, NoC, IPs, render loop, sanitizer, in that order (each
-    stage consumes what the previous ones built).  A run assembled from
-    the legacy name-string knobs and one assembled from the equivalent
-    explicit descriptor build object-for-object identical systems.
+    stage consumes what the previous ones built).
     """
 
     def __init__(self, run_config: SoCRunConfig,
@@ -157,10 +163,10 @@ class EmeraldSoC:
                  framebuffer_address: int,
                  start_frame: int = 0, start_tick: int = 0) -> None:
         self.config = run_config
-        self.topology = run_config.resolve_topology()
+        self.topology = run_config.topology
         frame_source = self._build_events_and_health(run_config, frame_source)
         self._build_memory(run_config)
-        self._build_noc(run_config)
+        self._build_noc()
         self._build_ips(run_config, framebuffer_address)
         self._build_loop(run_config, frame_source, start_frame, start_tick)
         self._build_sanitizer(run_config)
@@ -249,17 +255,12 @@ class EmeraldSoC:
                         f"dram{index}.ch{channel.channel_id}")
             self.memory = MemoryFabric(self.memory_endpoints)
 
-    def _build_noc(self, run_config: SoCRunConfig) -> None:
+    def _build_noc(self) -> None:
         noc_topo = self.topology.noc
-        memory = (self.memory_endpoints[0]
-                  if len(self.memory_endpoints) == 1
-                  else self.memory_endpoints)
-        self.noc = SystemNoC(self.events, memory,
+        self.noc = SystemNoC(self.events, self.memory_endpoints,
                              latency=noc_topo.latency,
                              watchdog=self.watchdog,
                              injector=self.injector, retry=self._retry,
-                             capacity=run_config.noc_capacity,
-                             bytes_per_cycle=run_config.noc_bytes_per_cycle,
                              tracer=self.tracer,
                              link_budgets=noc_topo.links,
                              interleave_bytes=noc_topo.interleave_bytes)
@@ -402,7 +403,7 @@ class EmeraldSoC:
 
         config = {"sanitize": asdict(sanitize),
                   "seed": self.config.seed,
-                  "memory_config": self.config.memory_config,
+                  "topology": self.topology.to_dict(),
                   "num_frames": self.config.num_frames}
         health = self.config.health
         if health is not None and health.faults is not None:
@@ -449,9 +450,7 @@ class EmeraldSoC:
     def _results(self) -> SoCResults:
         memory = self.memory
         return SoCResults(
-            config_name=(self.topology.name
-                         if self.config.topology is not None
-                         else self.config.memory_config),
+            config_name=self.topology.name,
             frames=list(self.loop.records),
             mean_gpu_time=self.loop.mean_gpu_time(),
             mean_total_time=self.loop.mean_total_time(),

@@ -2,6 +2,7 @@
 with bounded links, the watchdog, and the fault/retry machinery (the
 ISSUE's four scenarios)."""
 
+from repro.common.config import NoCLinkBudget
 from repro.common.events import EventQueue
 from repro.common.ports import ResponsePort, respond
 from repro.health import RetryConfig
@@ -51,7 +52,8 @@ def test_retry_succeeds_while_queue_drains():
     its held packet arrives after the queued ones (FIFO, no loss)."""
     events = EventQueue()
     memory = FakeMemory()
-    noc = SystemNoC(events, memory, latency=4, capacity=2)
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=[NoCLinkBudget(capacity=2)])
     port_cls = type(noc._entry)
     woken = []
     sender = port_cls("test.sender", on_retry=lambda: woken.append(events.now))
@@ -74,7 +76,8 @@ def test_watchdog_deadline_fires_under_sustained_backpressure():
     memory = FakeMemory()                       # never replies on its own
     watchdog = Watchdog(events, request_timeout=1_000, check_period=200,
                         on_timeout=lambda report: None)
-    noc = SystemNoC(events, memory, latency=4, capacity=4,
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=[NoCLinkBudget(capacity=4)],
                     watchdog=watchdog)
     noc.submit(_request())
     assert watchdog.in_flight == 1              # queued == tracked
@@ -94,7 +97,8 @@ def test_fault_dropped_reply_of_queued_packet_recovered_by_retry():
     memory = FakeMemory()
     done = []
     noc = SystemNoC(events, memory, latency=4,
-                    capacity=4, bytes_per_cycle=2.0,   # 64B -> 32-tick line
+                    link_budgets=[NoCLinkBudget(      # 64B -> 32-tick line
+                        capacity=4, bytes_per_cycle=2.0)],
                     injector=_ScriptedInjector([("drop", 0)]),
                     retry=RetryConfig(timeout=500, max_retries=2))
     noc.submit(_request(callback=done.append))
@@ -120,7 +124,8 @@ def test_exactly_once_when_retry_races_slow_link():
     events = EventQueue()
     memory = FakeMemory()
     done = []
-    noc = SystemNoC(events, memory, latency=4, bytes_per_cycle=1.0,
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=[NoCLinkBudget(bytes_per_cycle=1.0)],
                     injector=_ScriptedInjector([("delay", 5_000)]),
                     retry=RetryConfig(timeout=300, max_retries=2))
     noc.submit(_request(callback=done.append))

@@ -8,20 +8,14 @@ from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
 from repro.harness.scenes import SceneSession
 from repro.health import (CheckpointTopologyError, HealthConfig, resume_run)
 from repro.soc.checkpoint import GraphicsCheckpoint
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, smoke_run_config
 
 WIDTH, HEIGHT = 48, 36
 
 
 def _config(num_frames=2, **overrides):
-    return SoCRunConfig(
+    return smoke_run_config(
         width=WIDTH, height=HEIGHT, num_frames=num_frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
         health=HealthConfig(checkpoint_every=1),
         **overrides)
 

@@ -7,9 +7,9 @@ from repro.common.events import EventQueue
 from repro.memory.builders import (
     MEMORY_CONFIG_NAMES,
     build_baseline_memory,
+    build_hmc_memory,
     build_memory_by_name,
 )
-from repro.memory.hmc import build_hmc_memory
 from repro.memory.request import MemRequest, SourceType
 from repro.memory.system import SourceTypeRouter, dram_cycle_ticks
 

@@ -121,11 +121,13 @@ class TestFunctionalSimContract:
 
     def test_restore_refuses_foreign_topology(self):
         from repro.common.config import DRAMConfig
+        from repro.soc.soc import preset_topology
         config = self.config()
         sim = FunctionalSim(config, self.frame_source(), render="none")
         sim.run(1)
         checkpoint = sim.checkpoint()
-        other = replace(config, dram=DRAMConfig(channels=1))
+        other = replace(config, topology=preset_topology(
+            "BAS", dram=DRAMConfig(channels=1), gpu=config.topology.gpu))
         with pytest.raises(CheckpointTopologyError):
             FunctionalSim.from_checkpoint(checkpoint, other,
                                           self.frame_source())

@@ -17,7 +17,7 @@ from repro.memory.builders import MEMORY_CONFIG_NAMES
 from repro.sampling.ffwd import switch_fingerprint
 from repro.sampling.functional import FunctionalSim
 from repro.soc.checkpoint import GraphicsCheckpoint
-from repro.soc.soc import EmeraldSoC
+from repro.soc.soc import EmeraldSoC, smoke_topology
 
 from tests.health.full_system import HEIGHT, WIDTH, tiny_config
 
@@ -26,7 +26,8 @@ TOTAL = 3         # one detailed frame after the switch
 
 
 def preset_config(name, num_frames=TOTAL):
-    return replace(tiny_config(num_frames=num_frames), memory_config=name)
+    return replace(tiny_config(num_frames=num_frames),
+                   topology=smoke_topology(name))
 
 
 def session():

@@ -11,12 +11,15 @@
 """
 
 import zlib
+from dataclasses import replace
 
 import pytest
 
+from repro.common.config import NoCLinkBudget
 from repro.harness.scenes import SceneSession
 from repro.soc.soc import EmeraldSoC
-from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
+from tests.health.full_system import (HEIGHT, WIDTH, bounded_topology,
+                                      build_soc, tiny_config)
 
 # Captured on the seed tree (commit 28c03a6) with build_soc(num_frames=2).
 GOLDEN = {
@@ -70,9 +73,8 @@ class TestSeedIdentity:
 
 def _bounded_run(bytes_per_cycle):
     session = SceneSession("cube", WIDTH, HEIGHT)
-    config = tiny_config(num_frames=2)
-    config.noc_capacity = 32
-    config.noc_bytes_per_cycle = bytes_per_cycle
+    config = replace(tiny_config(num_frames=2), topology=bounded_topology(
+        NoCLinkBudget(capacity=32, bytes_per_cycle=bytes_per_cycle)))
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     return soc.run()
 

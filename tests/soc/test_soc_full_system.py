@@ -6,7 +6,7 @@ import pytest
 from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
 from repro.harness.scenes import SceneSession
 from repro.soc.checkpoint import GraphicsCheckpoint, capture
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, SoCRunConfig, preset_topology
 
 
 def run_soc(memory_config="BAS", frames=2, width=64, height=48,
@@ -14,9 +14,10 @@ def run_soc(memory_config="BAS", frames=2, width=64, height=48,
     session = SceneSession("cube", width, height)
     config = SoCRunConfig(
         width=width, height=height, num_frames=frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2, data_rate_mbps=data_rate),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+        topology=preset_topology(
+            memory_config,
+            dram=DRAMConfig(channels=2, data_rate_mbps=data_rate),
+            gpu=scaled_gpu(GPUConfig(num_clusters=2))),
         gpu_frame_period_ticks=150_000,
         display_period_ticks=75_000,
         cpu_work_per_frame=60,

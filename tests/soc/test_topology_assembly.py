@@ -1,24 +1,28 @@
-"""Declarative assembly: descriptor path vs legacy path, hetero boots.
+"""Declarative assembly: pinned topology identities, link budgets,
+hetero boots.
 
-The tentpole guarantee: a system assembled from an explicit
-:class:`SoCTopology` descriptor is *bit-identical* to the same system
-assembled from the legacy name-string knobs — same stats, same
-framebuffer CRC, same event count.  And a genuinely non-default topology
-(two GPU clusters, two NoC-separated memory stacks, an asymmetric
-big/little CPU cluster) boots, renders, and identifies itself with a
-distinct topology hash / fleet cache key.
+``SoCRunConfig.topology`` is the one description of the hardware a run
+builds.  Every caller's topology hash is pinned below, so existing
+checkpoints still resume and fleet cache keys do not move; the built
+NoC carries exactly the link budgets its topology names.  A genuinely
+non-default topology (two GPU clusters, two NoC-separated memory stacks,
+an asymmetric big/little CPU cluster) boots, renders, and identifies
+itself with a distinct topology hash / fleet cache key.
 """
 
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
-                                 MemoryTopology, NoCTopology, SoCTopology,
-                                 scaled_gpu)
+                                 MemoryTopology, NoCLinkBudget, NoCTopology,
+                                 SoCTopology, scaled_gpu)
+from repro.harness.case_study1 import CS1Config, make_cs1_setup
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import memory_topology_by_name
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import (EmeraldSoC, SoCRunConfig, preset_topology,
+                           smoke_run_config, smoke_topology)
+from tests.health.full_system import bounded_topology, tiny_config
 
 WIDTH, HEIGHT = 48, 36
 
@@ -30,27 +34,9 @@ def _run(config):
     return soc, results
 
 
-def _legacy_config(memory_config, num_frames=1):
-    return SoCRunConfig(
-        width=WIDTH, height=HEIGHT, num_frames=num_frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40)
-
-
-def _descriptor_config(memory_config, num_frames=1):
-    config = _legacy_config(memory_config, num_frames)
-    config.topology = SoCTopology(
-        name=memory_config,
-        gpu=config.gpu,
-        cpu=CPUClusterTopology(num_cores=4),
-        memory=(memory_topology_by_name(memory_config,
-                                        DRAMConfig(channels=2)),),
-        noc=NoCTopology(latency=12))
-    return config
+def _smoke_config(num_frames=1):
+    return smoke_run_config(width=WIDTH, height=HEIGHT,
+                            num_frames=num_frames)
 
 
 def _fingerprint(soc, results):
@@ -62,25 +48,81 @@ def _fingerprint(soc, results):
             soc.events.events_fired)
 
 
-class TestDescriptorBitIdentity:
-    @pytest.mark.parametrize("memory_config", ["BAS", "HMC"])
-    def test_descriptor_matches_legacy(self, memory_config):
-        legacy = _fingerprint(*_run(_legacy_config(memory_config)))
-        declared = _fingerprint(*_run(_descriptor_config(memory_config)))
-        assert declared == legacy
+#: Topology hashes measured before the shape knobs left SoCRunConfig;
+#: checkpoints and cache keys written since then carry these.
+CS1_HIGH_HASHES = {
+    "BAS": "b1d2d67236b10349",
+    "DCB": "1705b19b33495240",
+    "DTB": "8b955e2ae7eaf83e",
+    "HMC": "d22601acf435ab74",
+}
+SMOKE_HASHES = {"BAS": "13a1161315acd3b5", "HMC": "3170a45c805217a0"}
 
-    def test_derived_and_explicit_topologies_hash_equal(self):
-        legacy = _legacy_config("BAS")
-        explicit = _descriptor_config("BAS")
-        assert (legacy.resolve_topology().topology_hash()
-                == explicit.topology.topology_hash())
 
+class TestPinnedTopologyHashes:
+    def test_default_run_config(self):
+        assert (SoCRunConfig().topology.topology_hash()
+                == "0b4c871f1d28c6b8")
+
+    @pytest.mark.parametrize("name", sorted(CS1_HIGH_HASHES))
+    def test_case_study1_high_load(self, name):
+        run_config, _ = make_cs1_setup("M1", name, "high")
+        assert run_config.topology.name == name
+        assert (run_config.topology.topology_hash()
+                == CS1_HIGH_HASHES[name])
+
+    def test_case_study1_bounded_noc(self):
+        run_config, _ = make_cs1_setup(
+            "M1", "BAS", "high",
+            config=CS1Config(noc_capacity=32, noc_bytes_per_cycle=4.0))
+        assert run_config.topology.noc.links == (
+            NoCLinkBudget(capacity=32, bytes_per_cycle=4.0),)
+        assert run_config.topology.topology_hash() == "40a9a4c2f43103ef"
+
+    @pytest.mark.parametrize("name", sorted(SMOKE_HASHES))
+    def test_fleet_worker(self, name, tmp_path):
+        from repro.fleet import JobSpec
+        from repro.fleet.worker import _run_config
+        run_config = _run_config(JobSpec(name="j", memory_config=name),
+                                 str(tmp_path), None, None)
+        assert run_config.topology.topology_hash() == SMOKE_HASHES[name]
+
+    def test_smoke_callers(self):
+        from repro.sanitize.chaos import SCENARIOS, _run_config
+        chaos = _run_config(SCENARIOS[0], seed=1, frames=1, sanitize=None)
+        for config in (chaos, tiny_config(), smoke_run_config()):
+            assert (config.topology.topology_hash()
+                    == SMOKE_HASHES["BAS"])
+
+
+class TestLinkBudgets:
+    def test_built_link_carries_the_topology_budget(self):
+        budget = NoCLinkBudget(capacity=4, bytes_per_cycle=1.0)
+        config = replace(_smoke_config(), topology=bounded_topology(budget))
+        session = SceneSession("cube", WIDTH, HEIGHT)
+        soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
+        assert soc.noc.link.capacity == budget.capacity
+        assert soc.noc.link.bytes_per_cycle == budget.bytes_per_cycle
+
+    def test_unbounded_by_default(self):
+        session = SceneSession("cube", WIDTH, HEIGHT)
+        soc = EmeraldSoC(_smoke_config(), session.frame,
+                         session.framebuffer_address)
+        assert soc.noc.link.capacity is None
+        assert soc.noc.link.bytes_per_cycle is None
+
+    def test_budgets_hash_differently(self):
+        hashes = {preset_topology(link=link).topology_hash()
+                  for link in (None, NoCLinkBudget(capacity=4),
+                               NoCLinkBudget(capacity=4, bytes_per_cycle=1.0),
+                               NoCLinkBudget(capacity=8, bytes_per_cycle=1.0))}
+        assert len(hashes) == 4
+
+
+class TestResultsName:
     def test_results_name_follows_descriptor(self):
-        config = _descriptor_config("BAS")
-        config.topology = SoCTopology(
-            name="my-soc", gpu=config.topology.gpu,
-            cpu=config.topology.cpu, memory=config.topology.memory,
-            noc=config.topology.noc)
+        config = replace(_smoke_config(), topology=replace(
+            smoke_topology(), name="my-soc"))
         _, results = _run(config)
         assert results.config_name == "my-soc"
 
@@ -99,9 +141,7 @@ def _hetero_topology():
 
 
 def _hetero_config(num_frames=1):
-    config = _legacy_config("BAS", num_frames)
-    config.topology = _hetero_topology()
-    return config
+    return replace(_smoke_config(num_frames), topology=_hetero_topology())
 
 
 class TestHeterogeneousTopology:

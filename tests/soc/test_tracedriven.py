@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
+from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
 from repro.harness.scenes import SceneSession
 from repro.memory.builders import build_baseline_memory, build_memory_by_name
 from repro.memory.request import SourceType
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, SoCRunConfig, smoke_topology
 from repro.soc.tracedriven import (
     MemoryTrace,
     MemoryTraceError,
@@ -21,9 +21,7 @@ def run_recorded_soc(memory_config="BAS", frames=2):
     session = SceneSession("cube", 64, 48)
     config = SoCRunConfig(
         width=64, height=48, num_frames=frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+        topology=smoke_topology(memory_config),
         gpu_frame_period_ticks=150_000, display_period_ticks=75_000,
         cpu_work_per_frame=40)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)

@@ -45,6 +45,21 @@ class TestCLI:
         with pytest.raises(ValueError, match="unknown fault"):
             main(["cs1", "M1", "BAS", "--inject", "bogus=1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["cs1", "M1", "BAS", "--load", "high", "--ffwd", "18"],
+        ["cs1", "M1", "BAS", "--sample", "2:12:2"],
+        ["ffwd", "M1", "BAS", "--frames", "5", "--ffwd", "18"],
+        ["ffwd", "M1", "BAS", "--frames", "6", "--sample", "2:12:2"],
+    ])
+    def test_bad_schedule_exits_2(self, capsys, argv):
+        """A fast-forward past the run or an unsatisfiable sampling
+        schedule is a usage error: one line and exit 2, before any
+        simulation."""
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"bad {argv[0]} invocation: ")
+        assert len(out.strip().splitlines()) == 1
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
