@@ -12,10 +12,8 @@ Beyond the paper's figures: quantify the mechanisms individually.
 """
 
 import numpy as np
-import pytest
 from dataclasses import replace
 
-from benchmarks.conftest import run_once
 from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
 from repro.common.events import EventQueue
 from repro.gl.context import GLContext
@@ -60,14 +58,10 @@ def build_gpu(hiz_enabled=True, tc_bins=4):
     return EmeraldGPU(events, config, WIDTH, HEIGHT, memory=memory)
 
 
-def test_ablation_hiz(benchmark):
-    def run():
-        frame = depth_complex_frame()
-        with_hiz = build_gpu(hiz_enabled=True).run_frame(frame)
-        without = build_gpu(hiz_enabled=False).run_frame(frame)
-        return with_hiz, without
-
-    with_hiz, without = run_once(benchmark, run)
+def test_ablation_hiz():
+    frame = depth_complex_frame()
+    with_hiz = build_gpu(hiz_enabled=True).run_frame(frame)
+    without = build_gpu(hiz_enabled=False).run_frame(frame)
     rows = [
         ["hiz_on", with_hiz.fragments, with_hiz.hiz_culled_fragments,
          with_hiz.cycles],
@@ -85,16 +79,10 @@ def test_ablation_hiz(benchmark):
         "Hi-Z must reduce shaded fragments on occluded layers"
 
 
-def test_ablation_tc_coalescing(benchmark):
-    session = SceneSession("teapot", WIDTH, HEIGHT)
-    frame = session.frame(0)
-
-    def run():
-        coalesced = build_gpu(tc_bins=4).run_frame(frame)
-        uncoalesced = build_gpu(tc_bins=1).run_frame(frame)
-        return coalesced, uncoalesced
-
-    coalesced, uncoalesced = run_once(benchmark, run)
+def test_ablation_tc_coalescing():
+    frame = SceneSession("teapot", WIDTH, HEIGHT).frame(0)
+    coalesced = build_gpu(tc_bins=4).run_frame(frame)
+    uncoalesced = build_gpu(tc_bins=1).run_frame(frame)
     rows = [
         ["bins=4", coalesced.tc_tiles, coalesced.cycles],
         ["bins=1", uncoalesced.tc_tiles, uncoalesced.cycles],
@@ -107,24 +95,19 @@ def test_ablation_tc_coalescing(benchmark):
         "without staging capacity every raster tile becomes its own batch"
 
 
-def test_ablation_dfsl_energy(benchmark):
+def test_ablation_dfsl_energy():
     """DFSL's energy story: a better WT renders faster -> less leakage."""
     config = CS2Config()
     session = SceneSession("spot", config.width, config.height,
                            texture_size=config.texture_size)
     frames = [session.frame(i) for i in range(3)]
 
-    def run():
-        results = {}
-        for wt in (1, 2, 10):
-            gpu = cs2_gpu(config, wt)
-            gpu.run_frame(frames[0])               # warm caches
-            _, energy = measure_frame_energy(gpu, frames[1])
-            stats = gpu.frame_history[-1]
-            results[wt] = (stats, energy)
-        return results
-
-    results = run_once(benchmark, run)
+    results = {}
+    for wt in (1, 2, 10):
+        gpu = cs2_gpu(config, wt)
+        gpu.run_frame(frames[0])               # warm caches
+        _, energy = measure_frame_energy(gpu, frames[1])
+        results[wt] = (gpu.frame_history[-1], energy)
     rows = []
     for wt, (stats, energy) in results.items():
         rows.append([wt, stats.fragment_cycles, stats.fragments,

@@ -7,13 +7,12 @@ shape to hold is the *ordering*: strong draw-time correlation, visibly
 weaker fill-rate correlation, sizeable absolute errors in both.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import format_table
 from repro.validation.reference import accuracy_study
 
 
-def test_sec34_accuracy(benchmark):
-    result = run_once(benchmark, accuracy_study)
+def test_sec34_accuracy():
+    result = accuracy_study()
 
     rows = list(zip(result.names,
                     [f"{t:.0f}" for t in result.sim_time],

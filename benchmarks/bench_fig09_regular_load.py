@@ -5,12 +5,11 @@ but the GPU portion of the frame takes ~19-20% longer under DASH and
 roughly 2x under HMC.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import ascii_bars, format_table
 
 
-def test_fig09_regular_load(benchmark, cs1_regular):
-    sweep = run_once(benchmark, lambda: cs1_regular)
+def test_fig09_regular_load(cs1_regular):
+    sweep = cs1_regular
     normalized = sweep.normalized_gpu_time()
 
     configs = ("BAS", "DCB", "DTB", "HMC")

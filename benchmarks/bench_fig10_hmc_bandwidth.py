@@ -6,12 +6,11 @@ the CPU channel underutilized during rendering — the traffic-balance
 problem the case study diagnoses.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import ascii_sparkline, format_series
 
 
-def test_fig10_hmc_bandwidth(benchmark, cs1_regular):
-    sweep = run_once(benchmark, lambda: cs1_regular)
+def test_fig10_hmc_bandwidth(cs1_regular):
+    sweep = cs1_regular
     results = sweep.get("M3", "HMC")
 
     print()

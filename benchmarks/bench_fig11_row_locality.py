@@ -11,13 +11,12 @@ robust shape to check — and the paper's energy argument — is bytes per
 activation on the IP-facing traffic.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import format_table
 from repro.memory.request import SourceType
 
 
-def test_fig11_row_locality(benchmark, cs1_regular):
-    sweep = run_once(benchmark, lambda: cs1_regular)
+def test_fig11_row_locality(cs1_regular):
+    sweep = cs1_regular
 
     rows = []
     gpu_latency_ratio = {}

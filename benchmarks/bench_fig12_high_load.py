@@ -6,12 +6,11 @@ baseline to produce a frame; DASH reduces frame rates ~9-10% on average
 less.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import format_table
 
 
-def test_fig12_high_load(benchmark, cs1_high):
-    sweep = run_once(benchmark, lambda: cs1_high)
+def test_fig12_high_load(cs1_high):
+    sweep = cs1_high
     total = sweep.normalized_total_time()
     gpu = sweep.normalized_gpu_time()
 

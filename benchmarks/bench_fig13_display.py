@@ -6,12 +6,11 @@ interference; on the large models DASH delivers markedly less display
 traffic (the controller starts frames non-urgent, falls behind, aborts).
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import format_table
 
 
-def test_fig13_display_service(benchmark, cs1_high):
-    sweep = run_once(benchmark, lambda: cs1_high)
+def test_fig13_display_service(cs1_high):
+    sweep = cs1_high
     service = sweep.normalized_display_service()
 
     configs = ("BAS", "DCB", "DTB", "HMC")

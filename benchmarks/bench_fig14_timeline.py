@@ -7,12 +7,11 @@ not see, which is why over-prioritizing the CPU does not help the
 application.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.report import ascii_sparkline, format_series
 
 
-def test_fig14_timeline(benchmark, cs1_high):
-    sweep = run_once(benchmark, lambda: cs1_high)
+def test_fig14_timeline(cs1_high):
+    sweep = cs1_high
     bas = sweep.get("M1", "BAS")
     dtb = sweep.get("M1", "DTB")
 
@@ -54,30 +53,6 @@ def test_fig14_timeline(benchmark, cs1_high):
     render = [mean_cpu(r.cpu_done, r.gpu_done) for r in bas.frames[1:]]
     assert sum(prep) / len(prep) > sum(render) / len(render), \
         "CPU demand should drop during the GPU phase (frame-end idle)"
-
-
-def test_fig14_bench_artifact():
-    """Measure the Fig. 14 unit and emit BENCH_fig14.json.
-
-    Runs the case-study-I M1/BAS/high workload once, gates its identity
-    fingerprint on the scale's pin, and writes the artifact next to the
-    repo root (override with ``REPRO_BENCH_OUT``).  ``REPRO_BENCH_SCALE``
-    selects the operating point (default ``smoke`` here so the benchmark
-    suite stays fast; ``python -m repro bench`` publishes the default
-    scale).
-    """
-    import os
-
-    from repro import bench
-
-    scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    report = bench.run_fig14(scale)
-    path = bench.write_report(report, os.environ.get("REPRO_BENCH_OUT", "."))
-    print()
-    print(bench.format_summary(report))
-    print(f"wrote {path}")
-    failures = bench.gate(report)
-    assert not failures, "\n".join(failures)
 
 
 def test_fig14_trace_smoke(tmp_path):

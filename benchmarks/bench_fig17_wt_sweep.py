@@ -7,7 +7,7 @@ Suzanne) is best at WT=1.
 
 import pytest
 
-from benchmarks.conftest import cs2_config, cs2_workloads, run_once
+from benchmarks.conftest import cs2_config, cs2_workloads
 from repro.harness.case_study2 import wt_sweep
 from repro.harness.report import format_table
 
@@ -24,8 +24,8 @@ def sweep_data(request):
     return data
 
 
-def test_fig17_wt_sweep(benchmark, sweep_data):
-    data = run_once(benchmark, lambda: sweep_data)
+def test_fig17_wt_sweep(sweep_data):
+    data = sweep_data
 
     rows = []
     for workload, times in data.items():

@@ -5,11 +5,7 @@ work tiles improve locality — and execution time correlates with L1
 misses (78-82% in the paper), while L2/DRAM traffic stays roughly flat.
 """
 
-import os
-
-import pytest
-
-from benchmarks.conftest import FULL, cs2_config, run_once
+from benchmarks.conftest import FULL, cs2_config
 from repro.common.stats import pearson
 from repro.harness.case_study2 import wt_sweep
 from repro.harness.report import format_table
@@ -19,11 +15,8 @@ WORKLOAD = "W1" if FULL else "W2"
 WT_RANGE = range(1, 11)
 
 
-def test_fig18_l1_locality(benchmark):
-    config = cs2_config()
-    results = run_once(
-        benchmark,
-        lambda: wt_sweep(WORKLOAD, wt_sizes=WT_RANGE, config=config))
+def test_fig18_l1_locality():
+    results = wt_sweep(WORKLOAD, wt_sizes=WT_RANGE, config=cs2_config())
 
     rows = []
     times, l1_misses, l2_misses = {}, {}, {}

@@ -5,22 +5,16 @@ Paper shape: DFSL speeds up frame rendering by ~19% on average over MLB
 across all workloads); MLC (max locality) is the worst on average.
 """
 
-import pytest
-
-from benchmarks.conftest import FULL, cs2_config, cs2_workloads, run_once
+from benchmarks.conftest import FULL, cs2_config, cs2_workloads
 from repro.harness.case_study2 import compare_policies
 from repro.harness.report import format_table
 
 
-def test_fig19_dfsl(benchmark):
-    config = cs2_config()
-    workloads = cs2_workloads()
-    eval_max = 10 if FULL else 6
-    comparisons = run_once(
-        benchmark,
-        lambda: compare_policies(workloads=workloads, frames=4,
-                                 config=config, eval_max=eval_max,
-                                 run_frames=20 if FULL else 12))
+def test_fig19_dfsl():
+    comparisons = compare_policies(workloads=cs2_workloads(), frames=4,
+                                   config=cs2_config(),
+                                   eval_max=10 if FULL else 6,
+                                   run_frames=20 if FULL else 12)
 
     rows = []
     policies = ("mlb", "mlc", "sopt", "dfsl", "dfsl_steady")

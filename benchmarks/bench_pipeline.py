@@ -7,7 +7,6 @@ pixel-identical to the functional reference renderer.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.common.config import DRAMConfig, GPUConfig
 from repro.common.events import EventQueue
 from repro.gpu.gpu import EmeraldGPU
@@ -19,19 +18,13 @@ from repro.pipeline.renderer import ReferenceRenderer
 WIDTH, HEIGHT = 128, 96
 
 
-def test_pipeline_equivalence(benchmark):
-    session = SceneSession("teapot", WIDTH, HEIGHT)
-    frame = session.frame(0)
-
-    def run():
-        events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
-        gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
-                         memory=memory)
-        stats = gpu.run_frame(frame)
-        return gpu, stats
-
-    gpu, stats = run_once(benchmark, run)
+def test_pipeline_equivalence():
+    frame = SceneSession("teapot", WIDTH, HEIGHT).frame(0)
+    events = EventQueue()
+    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
+                     memory=memory)
+    stats = gpu.run_frame(frame)
     reference, ref_stats = ReferenceRenderer(WIDTH, HEIGHT).render(frame)
 
     rows = [
@@ -57,25 +50,3 @@ def test_pipeline_equivalence(benchmark):
     assert (stats.fragments + stats.hiz_culled_fragments
             == ref_stats.fragments_shaded)
     assert stats.cycles > 0 and stats.tc_tiles > 0
-
-
-def test_pipeline_bench_artifact():
-    """Measure one GPU frame and emit BENCH_pipeline.json.
-
-    Same contract as the fig14 artifact benchmark: one run, identity
-    gated on the scale's pin, wall-time reported.  ``REPRO_BENCH_SCALE``
-    (default ``smoke``) and ``REPRO_BENCH_OUT`` (default ``.``) control
-    the operating point and the artifact directory.
-    """
-    import os
-
-    from repro import bench
-
-    scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    report = bench.run_pipeline(scale)
-    path = bench.write_report(report, os.environ.get("REPRO_BENCH_OUT", "."))
-    print()
-    print(bench.format_summary(report))
-    print(f"wrote {path}")
-    failures = bench.gate(report)
-    assert not failures, "\n".join(failures)

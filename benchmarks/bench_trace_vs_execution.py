@@ -17,9 +17,6 @@ execution-driven outcomes (missing CPU->GPU dependency, display
 abort/retry feedback and load-dependent traffic timing).
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.common.events import EventQueue
 from repro.common.config import DRAMConfig
 from repro.harness.case_study1 import CS1Config, run_cs1, _cs1_gpu
@@ -38,52 +35,49 @@ def execution_run(config_name, cs1):
     return run_cs1(MODEL, config_name, "high", cs1)
 
 
-def test_trace_vs_execution(benchmark):
+def test_trace_vs_execution():
     cs1 = CS1Config(num_frames=4)
 
-    def run():
-        # Execution-driven truth, including the recorded baseline.
-        session = SceneSession("cube", cs1.width, cs1.height,
-                               texture_size=cs1.texture_size)
-        base_config = SoCRunConfig(
-            width=cs1.width, height=cs1.height, num_frames=cs1.num_frames,
-            topology=preset_topology(
-                "BAS",
-                dram=DRAMConfig(channels=cs1.channels,
-                                data_rate_mbps=cs1.high_rate_mbps),
-                gpu=_cs1_gpu()),
-            gpu_frame_period_ticks=cs1.gpu_frame_period_ticks,
-            display_period_ticks=cs1.display_period_ticks,
-            cpu_work_per_frame=cs1.cpu_work_per_frame,
-            cpu_fixed_ticks=cs1.cpu_fixed_ticks)
-        soc = EmeraldSoC(base_config, session.frame,
-                         session.framebuffer_address)
-        trace = record_soc_trace(soc)
-        bas = soc.run()
-        execution = {"BAS": bas}
-        for name in CONFIGS:
-            execution[name] = execution_run(name, cs1)
+    # Execution-driven truth, including the recorded baseline.
+    session = SceneSession("cube", cs1.width, cs1.height,
+                           texture_size=cs1.texture_size)
+    base_config = SoCRunConfig(
+        width=cs1.width, height=cs1.height, num_frames=cs1.num_frames,
+        topology=preset_topology(
+            "BAS",
+            dram=DRAMConfig(channels=cs1.channels,
+                            data_rate_mbps=cs1.high_rate_mbps),
+            gpu=_cs1_gpu()),
+        gpu_frame_period_ticks=cs1.gpu_frame_period_ticks,
+        display_period_ticks=cs1.display_period_ticks,
+        cpu_work_per_frame=cs1.cpu_work_per_frame,
+        cpu_fixed_ticks=cs1.cpu_fixed_ticks)
+    soc = EmeraldSoC(base_config, session.frame,
+                     session.framebuffer_address)
+    trace = record_soc_trace(soc)
+    bas = soc.run()
+    execution = {"BAS": bas}
+    for name in CONFIGS:
+        execution[name] = execution_run(name, cs1)
 
-        # Trace-driven study of the same changes.
-        replays = {}
-        for name in ("BAS",) + CONFIGS:
-            events = EventQueue()
-            memory, dash_state = build_memory_by_name(
-                name, events,
-                DRAMConfig(channels=cs1.channels,
-                           data_rate_mbps=cs1.high_rate_mbps))
-            if dash_state is not None:
-                dash_state.register_ip(SourceType.GPU,
-                                       cs1.gpu_frame_period_ticks)
-                dash_state.register_ip(SourceType.DISPLAY,
-                                       cs1.display_period_ticks)
-            replays[name] = TraceReplayer(trace).replay(
-                events, memory, dash_state=dash_state,
-                gpu_period=cs1.gpu_frame_period_ticks,
-                display_period=cs1.display_period_ticks)
-        return execution, replays
+    # Trace-driven study of the same changes.
+    replays = {}
+    for name in ("BAS",) + CONFIGS:
+        events = EventQueue()
+        memory, dash_state = build_memory_by_name(
+            name, events,
+            DRAMConfig(channels=cs1.channels,
+                       data_rate_mbps=cs1.high_rate_mbps))
+        if dash_state is not None:
+            dash_state.register_ip(SourceType.GPU,
+                                   cs1.gpu_frame_period_ticks)
+            dash_state.register_ip(SourceType.DISPLAY,
+                                   cs1.display_period_ticks)
+        replays[name] = TraceReplayer(trace).replay(
+            events, memory, dash_state=dash_state,
+            gpu_period=cs1.gpu_frame_period_ticks,
+            display_period=cs1.display_period_ticks)
 
-    execution, replays = run_once(benchmark, run)
 
     rows = []
     for name in ("BAS",) + CONFIGS:

@@ -24,8 +24,8 @@ from repro.harness.case_study2 import CS2Config
 FULL = bool(os.environ.get("REPRO_FULL"))
 
 
-def cs1_models():
-    return ("M1", "M2", "M3", "M4") if FULL else ("M1", "M2", "M3", "M4")
+#: Case study I's four SoC models; both scales sweep all of them.
+CS1_MODELS = ("M1", "M2", "M3", "M4")
 
 
 def cs2_workloads():
@@ -48,15 +48,10 @@ def cs2_config() -> CS2Config:
 @pytest.fixture(scope="session")
 def cs1_regular(request):
     """The (models x configs) full-system grid, regular load (Figs. 9-11)."""
-    return sweep(models=cs1_models(), load="regular", config=cs1_config())
+    return sweep(models=CS1_MODELS, load="regular", config=cs1_config())
 
 
 @pytest.fixture(scope="session")
 def cs1_high(request):
     """The high-load grid (Figs. 12-14)."""
-    return sweep(models=cs1_models(), load="high", config=cs1_config())
-
-
-def run_once(benchmark, fn):
-    """Run an expensive reproduction exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+    return sweep(models=CS1_MODELS, load="high", config=cs1_config())

@@ -18,7 +18,7 @@ setup(
     license="MIT",
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),
 )

@@ -271,15 +271,13 @@ def _cmd_cs2(args) -> int:
         # and/or a sanitized pass over the GPU memory hierarchy; --ffwd
         # fast-forwards the warmup frame functionally (GL state advances,
         # nothing hits the timing GPU) before the measured frame.
-        import zlib
-
         from repro.harness.case_study2 import run_static_gpu
         gpu, _ = run_static_gpu(args.workload, best, 1, config,
                                 stats_path=args.dump_stats, trace=trace,
                                 sanitize=sanitize, ffwd=args.ffwd)
         if args.ffwd:
             print(f"ffwd re-run (best WT, ffwd={args.ffwd}): fb CRC "
-                  f"0x{zlib.crc32(gpu.fb.color.tobytes()):08x}")
+                  f"0x{gpu.fb.crc():08x}")
         if args.dump_stats:
             print(f"stats written to {args.dump_stats}")
         if args.trace:
@@ -1013,8 +1011,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_cs1)
 
     p = sub.add_parser("bench",
-                       help="tracked benchmarks: wall time, pinned "
-                            "identity check, BENCH_*.json artifacts")
+                       help="tracked benchmarks: pinned identity "
+                            "check, ffwd error gate, BENCH_*.json "
+                            "artifacts (perfbench measures wall time)")
     p.add_argument("--scale", choices=("default", "smoke", "micro"),
                    default="default",
                    help="workload size (default = the recorded operating "

@@ -1,10 +1,11 @@
-"""Benchmark discipline: reproducible, identity-pinned artifacts.
+"""Benchmark discipline: identity-pinned, machine-independent gates.
 
-Every speed claim about the simulator is pinned to a JSON artifact
-produced by this module, and every artifact embeds the identity
-fingerprint (end tick / cycles, events fired, framebuffer CRC, ...) that
-proves the measured run computed the pinned simulation.  Three
-workloads are tracked:
+This module times nothing it reports for the ``fig14`` and ``pipeline``
+units: ``perfbench/`` is the one harness that measures wall time
+(medians, spread, a layer split).  What lives here is what no other
+harness checks — every run's identity fingerprint (end tick / cycles,
+events fired, framebuffer CRC, ...) against its pin, and the sampled
+mode's error and CRC gates.  Three workloads are tracked:
 
 * ``fig14`` — the case-study-I unit behind Fig. 14 (M1 under the BAS
   memory system, high-load scenario): DRAM-scheduler-bound, the worst
@@ -12,58 +13,45 @@ workloads are tracked:
 * ``pipeline`` — one :class:`~repro.gpu.gpu.EmeraldGPU` teapot frame:
   shader/raster-bound, the worst case for per-op dispatch.
 * ``ffwd`` — sampled simulation (DESIGN.md §13) against full detail on
-  the Fig. 14 scene: wall-clock speedup, per-metric extrapolation error
-  vs a symmetric per-frame ground truth, and the fast-forward
-  framebuffer-CRC identity check.  It compares an *approximation* to the
-  exact run, so the gate bounds the error (≤5 %) rather than demanding
-  identity of the estimates — the CRC identity of the fast-forwarded run
-  stays exact.
+  the Fig. 14 scene: per-metric extrapolation error vs a symmetric
+  per-frame ground truth, the fast-forward framebuffer-CRC identity
+  check, and the sampled run's within-process speedup over full detail.
+  It compares an *approximation* to the exact run, so the gate bounds
+  the error (≤5 %) rather than demanding identity of the estimates —
+  the CRC identity of the fast-forwarded run stays exact.
 
-``fig14`` and ``pipeline`` run their workload once and report wall time,
-events/sec and (for the GPU frame) fragments/sec.  Their identity
-fingerprint must equal the pin for the run's scale: :data:`PINNED_IDENTITY`
-at the reduced scales, the seed commit's fingerprint in
-:data:`SEED_BASELINE` at ``scale="default"``, which also reports the
-speedup against the wall time recorded there.
+``fig14`` and ``pipeline`` run their workload once; their fingerprint
+must equal :data:`PINNED_IDENTITY` for the run's scale, key for key.
 
-Machine-independence: the identity pins and the ffwd error bounds are
-meaningful on any host — CI gates on those (:func:`gate`).  The
-seed-baseline speedup is only meaningful on hardware comparable to the
-machine the baseline was recorded on; it is reported, never gated.
-
-Entry points: ``python -m repro bench --summary`` (writes
-``BENCH_fig14.json`` / ``BENCH_pipeline.json``), the CI smoke job
-(``--scale smoke --gate``), and the ``benchmarks/`` pytest modules.
+Entry points: ``python -m repro bench`` (``--out`` writes
+``BENCH_<name>.json``), and the CI smoke job (``--scale smoke --gate``).
 """
 
 from __future__ import annotations
 
 import json
-import platform
 import time
-import zlib
 from pathlib import Path
 from typing import Callable
 
-#: Wall times recorded for the ``scale="default"`` workloads at the seed
-#: commit (the tree immediately before the compiled hot paths landed),
-#: same timing boundary (run only, assembly excluded), same machine as the
-#: committed BENCH_*.json artifacts.  The fingerprint keys are the
-#: default scale's identity pin: a run must fire exactly as many events,
-#: end at the same tick and draw the same framebuffer as the seed did.
-SEED_BASELINE = {
-    "commit": "f9eb076",
-    "fig14": {"wall_s": 2.875, "end_tick": 1_357_432,
-              "events_fired": 274_152},
-    "pipeline": {"wall_s": 1.914, "cycles": 35_612,
-                 "events_fired": 125_678, "fb_crc": 2197508556},
-}
-
-#: Identity fingerprints of the reduced-scale ``fig14`` and ``pipeline``
-#: runs, recorded at commit 38ff8ab — the last tree that still carried a
-#: second, reference engine (heap-only event kernel, decode-every-op warp
-#: interpreter) — where both engines produced exactly these values.
+#: Identity fingerprints of the ``fig14`` and ``pipeline`` runs, one
+#: table for every scale; a pin's keys are the fingerprint.  ``default``
+#: is the seed commit f9eb076's fingerprint (the tree immediately before
+#: the compiled hot paths landed): a run must end at the same tick, fire
+#: exactly as many events and draw the same framebuffer as the seed did.
+#: The reduced scales were recorded at commit 38ff8ab — the last tree
+#: that still carried a second, reference engine (heap-only event
+#: kernel, decode-every-op warp interpreter) — where both engines
+#: produced exactly these values.
 PINNED_IDENTITY = {
+    "default": {
+        "fig14": {"end_tick": 1_357_432, "events_fired": 274_152,
+                  "fb_crc": 967344438, "row_hit_rate": 0.7729785508955553,
+                  "mean_gpu_time": 206497.33333333334},
+        "pipeline": {"cycles": 35_612, "fragments": 6650,
+                     "events_fired": 125_678, "fb_crc": 2197508556,
+                     "dram_bytes": 146_944},
+    },
     "smoke": {
         "fig14": {"end_tick": 240_000, "events_fired": 46_972,
                   "fb_crc": 723212397, "row_hit_rate": 0.2994871794871795,
@@ -85,15 +73,6 @@ PINNED_IDENTITY = {
 BENCHMARKS = ("fig14", "pipeline", "ffwd")
 SCALES = ("default", "smoke", "micro")
 
-#: Identity keys recorded in each report, per benchmark.
-_IDENTITY = {
-    "fig14": ("end_tick", "events_fired", "fb_crc", "row_hit_rate",
-              "mean_gpu_time"),
-    "pipeline": ("cycles", "fragments", "events_fired", "fb_crc",
-                 "dram_bytes"),
-    "ffwd": ("fb_crc",),
-}
-
 #: Largest relative extrapolation error the ffwd gate tolerates, per
 #: metric, at the default (Fig. 14) operating point.  The estimates are
 #: deterministic simulation quantities, so this check is
@@ -109,15 +88,6 @@ def _timed(fn: Callable):
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
-
-
-def _host() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
 
 
 def _fig14_config(scale: str):
@@ -142,36 +112,35 @@ def _fig14_config(scale: str):
     raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
 
 
+def _report(name: str, scale: str, workload: dict, identity: dict) -> dict:
+    return {"benchmark": name, "scale": scale, "workload": workload,
+            "identity": identity, "generated_by": "python -m repro bench"}
+
+
 def run_fig14(scale: str = "default") -> dict:
-    """Benchmark the Fig. 14 unit (M1 / BAS / high load)."""
+    """Run the Fig. 14 unit (M1 / BAS / high load) and fingerprint it."""
     from repro.harness.case_study1 import make_cs1_soc
 
     config = _fig14_config(scale)
-
-    def once() -> dict:
-        soc = make_cs1_soc("M1", "BAS", "high", config=config)
-        wall, results = _timed(soc.run)
-        events = soc.events.events_fired
-        return {
-            "wall_s": round(wall, 4),
-            "events_fired": events,
-            "events_per_s": round(events / wall, 1),
-            "end_tick": results.end_tick,
-            "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
-            "row_hit_rate": results.row_hit_rate,
-            "mean_gpu_time": results.mean_gpu_time,
-        }
-
+    soc = make_cs1_soc("M1", "BAS", "high", config=config)
+    results = soc.run()
+    identity = {
+        "end_tick": results.end_tick,
+        "events_fired": soc.events.events_fired,
+        "fb_crc": soc.gpu.fb.crc(),
+        "row_hit_rate": results.row_hit_rate,
+        "mean_gpu_time": results.mean_gpu_time,
+    }
     workload = {
         "name": "cs1 M1/BAS/high",
         "width": config.width, "height": config.height,
         "num_frames": config.num_frames,
     }
-    return _report("fig14", scale, workload, once)
+    return _report("fig14", scale, workload, identity)
 
 
 def run_pipeline(scale: str = "default") -> dict:
-    """Benchmark one EmeraldGPU teapot frame (shader/raster bound)."""
+    """Run one EmeraldGPU teapot frame and fingerprint it."""
     from repro.common.config import DRAMConfig, GPUConfig
     from repro.common.events import EventQueue
     from repro.gpu.gpu import EmeraldGPU
@@ -183,29 +152,22 @@ def run_pipeline(scale: str = "default") -> dict:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     width, height = sizes[scale]
 
-    def once() -> dict:
-        session = SceneSession("teapot", width, height)
-        frame = session.frame(0)
-        events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
-        gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
-                         width, height, memory=memory)
-        wall, stats = _timed(lambda: gpu.run_frame(frame))
-        fired = events.events_fired
-        return {
-            "wall_s": round(wall, 4),
-            "events_fired": fired,
-            "events_per_s": round(fired / wall, 1),
-            "cycles": stats.cycles,
-            "fragments": stats.fragments,
-            "fragments_per_s": round(stats.fragments / wall, 1),
-            "dram_bytes": stats.dram_bytes,
-            "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
-        }
-
+    frame = SceneSession("teapot", width, height).frame(0)
+    events = EventQueue()
+    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), width, height,
+                     memory=memory)
+    stats = gpu.run_frame(frame)
+    identity = {
+        "cycles": stats.cycles,
+        "fragments": stats.fragments,
+        "events_fired": events.events_fired,
+        "fb_crc": gpu.fb.crc(),
+        "dram_bytes": stats.dram_bytes,
+    }
     workload = {"name": "gpu teapot frame", "width": width,
                 "height": height, "clusters": 4, "channels": 2}
-    return _report("pipeline", scale, workload, once)
+    return _report("pipeline", scale, workload, identity)
 
 
 def _ffwd_operating_point(scale: str):
@@ -237,11 +199,11 @@ def run_ffwd(scale: str = "default") -> dict:
 
     Three runs of M1 / BAS / high load:
 
-    1. **full detail** — the exact run, with a per-frame activity hook so
-       the ground-truth per-frame metrics are computed *the same way* the
-       sampler computes its window samples (deltas between frame
-       boundaries, app warmup frame 0 excluded) — asymmetric definitions
-       would report definition error as extrapolation error;
+    1. **full detail** — the exact run, as one detailed window over every
+       frame that measures all but the app warmup frame 0, so the ground
+       truth is the sampler's own per-frame sample definition —
+       asymmetric definitions would report definition error as
+       extrapolation error;
     2. **sampled** — functional/detailed alternation under the scale's
        schedule, extrapolated with error bars;
     3. **fast-forward** — half the frames functional, rest detailed; its
@@ -249,55 +211,21 @@ def run_ffwd(scale: str = "default") -> dict:
        (the mode-switch exactness check, same contract CI's
        ``repro ffwd --verify`` gates on).
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.gpu.energy import frame_energy, gpu_activity_snapshot
     from repro.harness.case_study1 import make_cs1_setup
-    from repro.sampling import fast_forward, parse_sample_spec, run_sampled
+    from repro.sampling import (Window, fast_forward, parse_sample_spec,
+                                run_sampled)
+    from repro.sampling.sampler import _run_detailed
     from repro.sampling.stats import SAMPLE_METRICS
-    from repro.soc.soc import EmeraldSoC
 
     config, spec, ffwd_frames, error_bound = _ffwd_operating_point(scale)
     run_config, factory = make_cs1_setup("M1", "BAS", "high", config=config)
     schedule = parse_sample_spec(spec, config.num_frames)
 
     # 1. Full detail with symmetric per-frame ground truth.
-    per_frame: list[dict] = []
-    cell: dict = {}
-
-    def hook(frame_index: int, tick: int) -> None:
-        soc = cell["soc"]
-        activity = gpu_activity_snapshot(soc.gpu)
-        per_frame.append({"frame": frame_index,
-                          "total_bytes": soc.memory.total_bytes(),
-                          "issued": activity["issued"],
-                          "l1_accesses": activity["l1_accesses"]})
-
-    session = factory()
-    soc = EmeraldSoC(dc_replace(run_config, frame_hook=hook),
-                     session.frame, session.framebuffer_address)
-    cell["soc"] = soc
-    wall_full, results = _timed(soc.run)
-    full_fb_crc = zlib.crc32(soc.gpu.fb.color.tobytes())
-
-    previous = {"total_bytes": 0, "issued": 0, "l1_accesses": 0}
-    by_index = {entry["frame"]: entry for entry in per_frame}
-    rows: list[tuple] = []
-    for record in results.frames:
-        entry = by_index[record.index]
-        delta_bytes = entry["total_bytes"] - previous["total_bytes"]
-        delta_issued = entry["issued"] - previous["issued"]
-        delta_l1 = entry["l1_accesses"] - previous["l1_accesses"]
-        previous = entry
-        if record.index == 0:
-            continue                      # app warmup: excluded both sides
-        rows.append((record.gpu_time, record.total_time, delta_bytes,
-                     frame_energy(record.gpu_stats, delta_issued,
-                                  delta_l1).total_uj))
-    ground_truth = {
-        metric: sum(row[i] for row in rows) / len(rows)
-        for i, metric in enumerate(SAMPLE_METRICS)
-    }
+    whole_run = Window(0, config.num_frames, "detailed", measure_from=1)
+    wall_full, (truth, full_fb_crc) = _timed(
+        lambda: _run_detailed(run_config, factory, whole_run, None))
+    ground_truth = {metric: truth.metric(metric) for metric in SAMPLE_METRICS}
 
     # 2. Sampled run + extrapolation.
     wall_sampled, sampled = _timed(
@@ -348,52 +276,18 @@ def run_ffwd(scale: str = "default") -> dict:
         "identical": crc_identical,
         "identity": {"fb_crc": full_fb_crc},
         "speedup_sampled_vs_full": round(wall_full / wall_sampled, 3),
-        "seed_baseline": None,
-        "speedup_vs_seed": None,
-        "host": _host(),
         "generated_by": "python -m repro bench",
     }
-
-
-def _report(name: str, scale: str, workload: dict, once: Callable) -> dict:
-    measured = once()
-    seed = SEED_BASELINE[name] if scale == "default" else None
-    seed_wall = seed.get("wall_s") if seed else None
-    return {
-        "benchmark": name,
-        "scale": scale,
-        "workload": workload,
-        "run": measured,
-        "identity": {key: measured[key] for key in _IDENTITY[name]},
-        "seed_baseline": dict(seed, commit=SEED_BASELINE["commit"])
-        if seed else None,
-        "speedup_vs_seed": round(seed_wall / measured["wall_s"], 3)
-        if seed_wall else None,
-        "host": _host(),
-        "generated_by": "python -m repro bench",
-    }
-
-
-def pinned_identity(report: dict) -> dict:
-    """The fingerprint a ``fig14``/``pipeline`` report must reproduce:
-    :data:`PINNED_IDENTITY` at the reduced scales, the report's seed
-    baseline at ``scale="default"``."""
-    pins = PINNED_IDENTITY.get(report["scale"])
-    if pins is not None:
-        return pins[report["benchmark"]]
-    seed = report.get("seed_baseline") or {}
-    return {key: seed[key] for key in _IDENTITY[report["benchmark"]]
-            if key in seed}
 
 
 def gate(report: dict, min_sampled_speedup: float = 0.9) -> list:
     """Machine-independent pass/fail checks for one report.
 
     Returns a list of failure strings (empty = pass).  ``fig14`` and
-    ``pipeline`` fail on any drift from :func:`pinned_identity`; ``ffwd``
-    fails on a fast-forward CRC mismatch, an extrapolation error over its
-    bound, or a sampled run slower than full detail beyond the noise
-    allowance (``min_sampled_speedup``).
+    ``pipeline`` fail on any drift from their :data:`PINNED_IDENTITY`
+    entry, key for key; ``ffwd`` fails on a fast-forward CRC mismatch,
+    an extrapolation error over its bound, or a sampled run slower than
+    full detail beyond the noise allowance (``min_sampled_speedup``).
     """
     failures = []
     name = report["benchmark"]
@@ -419,12 +313,13 @@ def gate(report: dict, min_sampled_speedup: float = 0.9) -> list:
                 f"{min_sampled_speedup})")
         return failures
     identity = report["identity"]
-    for key, expected in pinned_identity(report).items():
-        if identity.get(key) != expected:
+    pins = PINNED_IDENTITY[report["scale"]][name]
+    for key in sorted(pins.keys() | identity.keys()):
+        if identity.get(key) != pins.get(key):
             failures.append(
-                f"{name}: {key} {identity.get(key)} != pinned {expected} "
-                f"at scale {report['scale']} — the simulation drifted "
-                f"from the pinned fingerprint")
+                f"{name}: {key} {identity.get(key)} != pinned "
+                f"{pins.get(key)} at scale {report['scale']} — the "
+                f"simulation drifted from the pinned fingerprint")
     return failures
 
 
@@ -442,13 +337,13 @@ def write_report(report: dict, out_dir: str = ".") -> Path:
 
 def format_summary(report: dict) -> str:
     """Human-readable one-benchmark summary for ``bench --summary``."""
+    workload = report["workload"]
     if report["benchmark"] == "ffwd":
         full, sampled = report["full_detail"], report["sampled"]
-        lines = [f"ffwd ({report['scale']}): {report['workload']['name']} "
-                 f"{report['workload']['width']}x"
-                 f"{report['workload']['height']} "
-                 f"x{report['workload']['num_frames']} frames, "
-                 f"sample {report['workload']['sample']}"]
+        lines = [f"ffwd ({report['scale']}): {workload['name']} "
+                 f"{workload['width']}x{workload['height']} "
+                 f"x{workload['num_frames']} frames, "
+                 f"sample {workload['sample']}"]
         lines.append(f"  full detail   {full['wall_s']:>7.3f}s")
         lines.append(f"  sampled       {sampled['wall_s']:>7.3f}s  "
                      f"({sampled['coverage'] * 100:.0f}% coverage, "
@@ -462,17 +357,12 @@ def format_summary(report: dict) -> str:
         lines.append(f"  extrapolation error (bound "
                      f"{report['error_bound'] * 100:.0f}%): {errors}")
         return "\n".join(lines)
-    row = report["run"]
-    extra = (f"  {row['fragments_per_s']:>10,.0f} frags/s"
-             if "fragments_per_s" in row else "")
     lines = [f"{report['benchmark']} ({report['scale']}): "
-             f"{report['workload']['name']} "
-             f"{report['workload']['width']}x{report['workload']['height']}",
-             f"  wall {row['wall_s']:>7.3f}s  "
-             f"{row['events_per_s']:>12,.0f} events/s{extra}"]
-    if report["speedup_vs_seed"]:
-        lines.append(f"  vs seed {report['seed_baseline']['commit']}: "
-                     f"{report['speedup_vs_seed']:.2f}x")
+             f"{workload['name']} {workload['width']}x{workload['height']}"]
+    lines += [f"  {key:<14}{value}"
+              for key, value in report["identity"].items()]
+    failures = gate(report)
+    lines.append(f"  identity: {'DRIFTED' if failures else 'matches pin'}")
     return "\n".join(lines)
 
 

@@ -121,11 +121,6 @@ def _load_resume_checkpoint(jobdir: str, expected_job: Optional[str]):
     return checkpoint, None
 
 
-def _fb_crc(soc) -> int:
-    import zlib
-    return zlib.crc32(soc.gpu.fb.color.tobytes())
-
-
 def _sanitize_config(jobdir: str, spec: JobSpec):
     from repro.sanitize.chaos import CHAOS_SANITIZE
     return replace(
@@ -348,7 +343,7 @@ def run_job(spec: JobSpec, jobdir: str,
             "detail": f"{type(exc).__name__}: {exc}"})
 
     metrics = _metrics(soc, results) if spec.collect_metrics else None
-    payload = result_payload(spec, _fb_crc(soc), metrics=metrics)
+    payload = result_payload(spec, soc.gpu.fb.crc(), metrics=metrics)
     if spec.collect_metrics:
         # A full stats dump (with the topology block) rides along for
         # DSE post-mortems; not part of the cached payload.

@@ -8,6 +8,8 @@ HMC analysis hinges on.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 PIXEL_BYTES = 4
@@ -88,6 +90,11 @@ class Framebuffer:
     def write_depth(self, xs: np.ndarray, ys: np.ndarray,
                     values: np.ndarray) -> None:
         self.depth[ys, xs] = values
+
+    def crc(self) -> int:
+        """CRC32 of the color plane: the framebuffer identity every
+        golden, checkpoint check and bench fingerprint compares."""
+        return zlib.crc32(self.color.tobytes())
 
     def to_rgba8(self) -> np.ndarray:
         return (np.clip(self.color, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)

@@ -28,7 +28,6 @@ The CI ffwd smoke job gates on this report.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -40,7 +39,7 @@ from repro.soc.checkpoint import GraphicsCheckpoint
 
 def fb_crc(soc) -> int:
     """CRC32 of a SoC's GPU framebuffer color plane (the golden idiom)."""
-    return zlib.crc32(soc.gpu.fb.color.tobytes())
+    return soc.gpu.fb.crc()
 
 
 def switch_fingerprint(soc, results) -> dict:

@@ -28,7 +28,6 @@ crash-recovery resume has always had.
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable, Optional
 
 from repro.gl.context import Frame
@@ -133,7 +132,7 @@ class FunctionalSim:
             raise FunctionalSimError(
                 "no framebuffer rendered yet (render policy "
                 f"{self.render!r}, {self.next_frame} frames executed)")
-        return zlib.crc32(self.fb.color.tobytes())
+        return self.fb.crc()
 
     def checkpoint(self, job: Optional[str] = None) -> GraphicsCheckpoint:
         """Snapshot the current frame boundary, nominal-tick stamped."""

@@ -146,7 +146,7 @@ class TestDashScheduler:
         assert state.probability > before
 
     def test_switching_is_deterministic_with_seed(self):
-        def run_once():
+        def simulate():
             state = DashState(DashConfig(seed=42, switching_unit=10))
             outcomes = []
             for now in range(0, 200, 10):
@@ -154,4 +154,4 @@ class TestDashScheduler:
                 outcomes.append(state.intensive_cpu_first)
             return outcomes
 
-        assert run_once() == run_once()
+        assert simulate() == simulate()

@@ -78,7 +78,7 @@ class TestCPUCore:
         assert memory.row_hit_rate() > 0.4
 
     def test_deterministic_with_seed(self):
-        def run_once():
+        def simulate():
             events, memory = make_system()
             core = CPUCore(events, 0, memory.submit,
                            CPUCoreConfig(active=False), base_address=0,
@@ -88,7 +88,7 @@ class TestCPUCore:
             events.run()
             return done[0]
 
-        assert run_once() == run_once()
+        assert simulate() == simulate()
 
     def test_background_mode_runs_until_stopped(self):
         events, memory = make_system()
